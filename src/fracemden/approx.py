@@ -30,7 +30,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .polybasis import BoubakerBasis, build_M_int, eval_basis
+from .polybasis import (
+    BoubakerBasis,
+    build_M_int,
+    eval_basis,
+    legendre_shifted_int,
+    legendre_to_boubaker_int,
+)
 
 QUAD_POINTS = 64
 # panel edges graded toward 0: keeps Gauss error ~1e-13 even for x^s, s > -1
@@ -110,21 +116,6 @@ def integrate_01(f, singular_at_zero: bool = False) -> float:
 
 
 @lru_cache(maxsize=32)
-def _legendre_shifted_int(N: int) -> tuple[tuple[int, ...], ...]:
-    """Integer monomial coefficients of the shifted Legendre polynomials
-    on [0,1]: row k, entry j = (-1)^(k+j) C(k,j) C(k+j,j)."""
-    return tuple(
-        tuple(
-            (-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
-            if j <= k
-            else 0
-            for j in range(N + 1)
-        )
-        for k in range(N + 1)
-    )
-
-
-@lru_cache(maxsize=32)
 def _lobatto_vandermonde(N: int):
     """Chebyshev-Lobatto nodes on [0,1] and the exact rational Vandermonde
     V[i][n] = B_n(node_i)."""
@@ -156,7 +147,7 @@ def _interpolate_exact(vals: list[float], N: int) -> np.ndarray:
 
 def _project_legendre(f, basis: BoubakerBasis, singular_at_zero: bool) -> np.ndarray:
     N = basis.N
-    L = _legendre_shifted_int(N)
+    L = legendre_shifted_int(N)
     panels = [(xs, ws, _sample(f, xs)) for xs, ws in _quad_nodes(singular_at_zero)]
     a = []
     for k in range(N + 1):
@@ -167,16 +158,9 @@ def _project_legendre(f, basis: BoubakerBasis, singular_at_zero: bool) -> np.nda
                 pv = pv * xs + L[k][j]
             total += math.fsum(ws * fv * pv)
         a.append((2 * k + 1) * total)
-    # exact change of basis: monomial coeffs m = L^T a, then M^T C = m
+    # exact integer change of basis from the Legendre frame
     aF = [Fraction(v) for v in a]
-    m = [
-        sum(L[k][j] * aF[k] for k in range(j, N + 1))
-        for j in range(N + 1)
-    ]
-    Mint = build_M_int(N)
-    C = [Fraction(0)] * (N + 1)
-    for n in range(N, -1, -1):
-        C[n] = m[n] - sum(Mint[i][n] * C[i] for i in range(n + 1, N + 1))
+    C = [sum(t * ak for t, ak in zip(row, aF)) for row in legendre_to_boubaker_int(N)]
     return np.array([float(v) for v in C])
 
 

@@ -11,13 +11,19 @@ basis by L2 projection, yields an (N+1)x(N+1) matrix D with
 so differentiating a coefficient vector reduces to one matrix product.
 Supported orders are 0 < alpha <= 2.
 
-The projection coefficients e_i solve the normal equations Q e_i = Ehat_i
-with Q the Gram matrix and Ehat_i[j] = int_0^1 x^(i-alpha) B_j(x) dx, which
-has the closed form sum_p m_{j,p} / (i - alpha + j - 2p + 1).  Q is
-Hilbert-like ill-conditioned, so these solves run in exact rational
-arithmetic (alpha enters as its exact binary rational); only the final
-Gamma-factor scaling is floating point.  For integer alpha every x^(i-alpha)
-lies in the basis span and the resulting matrix is exactly integer.
+The projection of x^beta, beta = i - alpha, has the closed-form shifted
+Legendre coefficients (Saadatmandi & Dehghan, Comput. Math. Appl. 59 (2010)
+1326-1336)
+
+    a_k = (2k+1) prod_{j<k} (beta - j) / prod_{j<=k} (beta + 1 + j),
+
+and a fixed integer matrix maps them to basis coefficients, so no Gram
+system is formed or solved.  alpha enters as its exact binary rational p/q,
+all moments of a row share one integer denominator, and each entry is a
+single correctly rounded integer quotient -- the same float as the exact
+rational solution of the normal equations.  Only the Gamma-factor scaling
+is floating point.  For integer alpha every x^(i-alpha) lies in the basis
+span and the resulting matrix is exactly integer.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .polybasis import BoubakerBasis, Polynomial, boubaker_coefficient
+from .polybasis import BoubakerBasis, Polynomial, legendre_to_boubaker_int
 
 MAX_ORDER = 2.0
 
@@ -186,25 +191,29 @@ def build_E(alpha: float, basis: BoubakerBasis) -> np.ndarray:
     coefficients of the L2 projection of x^(i-alpha); rows below
     ceil(alpha) are zero.
 
-    Each row solves Q e_i = Ehat_i exactly over Fractions, with
-    Ehat_i[j] = sum_p m_{j,p} / (i - alpha + j - 2p + 1).  The denominators
-    are always positive in range.  Q inverse is applied exactly once.
+    With alpha = p/q exactly and beta = b/q, b = iq - p >= 0, the Legendre
+    moments of row i are a_k = num_k / den with
+    num_k = (2k+1) q prod_{j<k} (b - jq) prod_{k<j<=N} (b + (1+j)q) and
+    den = prod_{j<=N} (b + (1+j)q) > 0, all integers.  The row is
+    T num / den for the integer Legendre-to-basis matrix T.
     """
     N = basis.N
     ca = _check_order(alpha, N)
-    af = Fraction(alpha)  # exact value of the float argument
-    Q = linalg.gram_fractions(N)
+    p, q = Fraction(alpha).as_integer_ratio()  # exact value of the float argument
+    T = legendre_to_boubaker_int(N)
     E = np.zeros((N + 1, N + 1))
     for i in range(ca, N + 1):
-        ehat = []
-        for j in range(N + 1):
-            s = Fraction(0)
-            for p in range(j // 2 + 1):
-                s += Fraction(boubaker_coefficient(j, p)) / (
-                    Fraction(i) - af + j - 2 * p + 1
-                )
-            ehat.append(s)
-        E[i] = [float(v) for v in linalg.solve_fractions(Q, ehat)]
+        b = i * q - p
+        tail = [1] * (N + 1)  # tail[k] = prod_{k<j<=N} (b + (1+j)q)
+        for k in range(N - 1, -1, -1):
+            tail[k] = tail[k + 1] * (b + (k + 2) * q)
+        den = tail[0] * (b + q)
+        num = []
+        head = q  # q prod_{j<k} (b - jq)
+        for k in range(N + 1):
+            num.append((2 * k + 1) * head * tail[k])
+            head *= b - k * q
+        E[i] = [sum(t * a for t, a in zip(row, num)) / den for row in T]
     return E
 
 
@@ -223,7 +232,7 @@ class OperationalMatrix:
 def build_D(alpha: float, basis: BoubakerBasis) -> OperationalMatrix:
     """Operational matrix D = M Z E with rows 0..ceil(alpha)-1 exactly zero.
 
-    For integer alpha each x^(i-alpha) lies in the span, the exact-rational
+    For integer alpha each x^(i-alpha) lies in the span, the exact
     projection recovers its integer coordinates, and D is exact.
     """
     _check_order(alpha, basis.N)

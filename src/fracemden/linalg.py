@@ -3,8 +3,11 @@
 Everything here operates on plain numpy arrays at most (DEGREE_CAP+1)
 square.  Alongside the double-precision kernels there is an exact-rational
 layer (Fraction matrices) used where Hilbert-like conditioning would ruin
-float64: the Gram matrix of the polynomial basis and the normal-equation
-solves built on it.
+float64.  The operational matrix does not use it: its expansion matrix E
+comes from closed-form Legendre moments in exact integer arithmetic (see
+fraccalc).  The rational Gram matrix now backs only the positive-
+definiteness certificate, and the exact solve also serves the Vandermonde
+interpolation in approx.
 """
 
 from __future__ import annotations

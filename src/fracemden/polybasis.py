@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,6 +109,41 @@ def build_M_int(N: int) -> list[list[int]]:
     if N < 0:
         raise ValueError(f"degree bound must be nonnegative, got {N}")
     return [_int_coeffs(n) + [0] * (N - n) for n in range(N + 1)]
+
+
+@lru_cache(maxsize=32)
+def legendre_shifted_int(N: int) -> tuple[tuple[int, ...], ...]:
+    """Integer monomial coefficients of the shifted Legendre polynomials
+    on [0,1]: row k, entry j = (-1)^(k+j) C(k,j) C(k+j,j)."""
+    return tuple(
+        tuple(
+            (-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
+            if j <= k
+            else 0
+            for j in range(N + 1)
+        )
+        for k in range(N + 1)
+    )
+
+
+@lru_cache(maxsize=32)
+def legendre_to_boubaker_int(N: int) -> tuple[tuple[int, ...], ...]:
+    """Integer change of basis T = M^{-T} L^T from shifted Legendre to
+    Boubaker coefficients: sum_k a_k P~_k = sum_n (T a)_n B_n.
+
+    Column k holds the basis coordinates of P~_k, found by exact back
+    substitution through M^T; they are integers because M is unit lower
+    triangular with integer entries.
+    """
+    L = legendre_shifted_int(N)
+    Mint = build_M_int(N)
+    cols = []
+    for k in range(N + 1):
+        c = [0] * (N + 1)
+        for n in range(N, -1, -1):
+            c[n] = L[k][n] - sum(Mint[i][n] * c[i] for i in range(n + 1, N + 1))
+        cols.append(c)
+    return tuple(tuple(col[n] for col in cols) for n in range(N + 1))
 
 
 def build_M(N: int) -> np.ndarray:

@@ -170,8 +170,11 @@ def solve(
     Starts from C = [a, 0, ..., 0] (the constant function u = a, which
     already satisfies u(0) = a since B_0 = 1 and the higher basis
     constants only enter through their own coefficients).  Success means
-    the infinity-norm residual fell to tol within max_iters iterations;
-    linear problems take at most two.
+    the infinity-norm residual fell to tol within max_iters iterations.
+    The forward-difference Jacobian is not exact even for a linear
+    problem, so linear problems need no fixed number of iterations:
+    mixed_power(0.7) takes 2 at N = 6 but 6 at N = 10, and linear solves
+    at N = 10 take 2-7 over alpha in [0.7, 1).
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")

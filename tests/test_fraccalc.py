@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracemden import linalg
 from fracemden.fraccalc import (
     GeneralizedPolynomial,
     build_D,
@@ -13,7 +17,12 @@ from fracemden.fraccalc import (
     gamma_fn,
     xbar_exponents,
 )
-from fracemden.polybasis import boubaker_polynomial, build_basis, eval_basis
+from fracemden.polybasis import (
+    boubaker_coefficient,
+    boubaker_polynomial,
+    build_basis,
+    eval_basis,
+)
 
 # high-precision reference values (mpmath, 30 digits)
 GAMMA_2_3 = 1.16671190519816035
@@ -175,7 +184,61 @@ class TestXbarExponents:
         np.testing.assert_allclose([e for _, e in got], [0.6, 1.6, 2.6], rtol=0, atol=1e-14)
 
 
+def _gram_oracle_E(alpha, N):
+    """build_E by its definition: row i solves the Gram normal equations
+    Q e_i = Ehat_i exactly over Fractions, with the closed-form moments
+    Ehat_i[j] = sum_p m_{j,p} / (i - alpha + j - 2p + 1)."""
+    af = Fraction(alpha)
+    Q = linalg.gram_fractions(N)
+    E = np.zeros((N + 1, N + 1))
+    for i in range(math.ceil(alpha), N + 1):
+        ehat = [
+            sum(
+                Fraction(boubaker_coefficient(j, p)) / (i - af + j - 2 * p + 1)
+                for p in range(j // 2 + 1)
+            )
+            for j in range(N + 1)
+        ]
+        E[i] = [float(v) for v in linalg.solve_fractions(Q, ehat)]
+    return E
+
+
+ORACLE_ALPHAS = (
+    0.123456789, 0.55, 0.7, 0.7041709495205126, 0.75, 0.9,
+    1.0, 1.1, 1.4, 1.5, 1.8, 2.0,
+)
+ORACLE_GRID = [
+    (N, alpha)
+    for N in (2, 3, 4, 6, 8, 10, 12, 15)
+    for alpha in ORACLE_ALPHAS
+    if math.ceil(alpha) <= N
+]
+
+
 class TestBuildE:
+    @pytest.mark.parametrize("N, alpha", ORACLE_GRID)
+    def test_equals_gram_oracle(self, N, alpha):
+        # the closed-form Legendre moments give the exact projection, so
+        # after the one rounding to float they match the Gram solve bit for bit
+        assert np.array_equal(build_E(alpha, build_basis(N)), _gram_oracle_E(alpha, N))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+        N=st.integers(min_value=2, max_value=10),
+    )
+    def test_equals_gram_oracle_any_order(self, alpha, N):
+        assert np.array_equal(build_E(alpha, build_basis(N)), _gram_oracle_E(alpha, N))
+
+    def test_operator_path_avoids_gram_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Gram system entered the operator path")
+
+        monkeypatch.setattr(linalg, "gram_fractions", forbidden)
+        monkeypatch.setattr(linalg, "solve_fractions", forbidden)
+        for alpha in (0.7, 1.0, 1.4, 2.0):
+            build_D(alpha, build_basis(6))
+
     def test_monomial_row_alpha1_n2(self):
         # x^0 = B_0
         E = build_E(1.0, build_basis(2))
