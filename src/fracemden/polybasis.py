@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -54,8 +53,8 @@ class Polynomial:
 def boubaker_coefficient(n: int, p: int) -> int:
     """Coefficient of x^(n-2p) in B_n.
 
-    Evaluates ((n-4p)/(n-p)) * C(n-p, p) * (-1)^p in exact rational
-    arithmetic; the result is always an integer.  n = 0 is the special case
+    Evaluates ((n-4p)/(n-p)) * C(n-p, p) * (-1)^p as one exact integer
+    division; the result is always an integer.  n = 0 is the special case
     B_0 = 1, where the quotient formula is indeterminate.
     """
     if n < 0:
@@ -64,10 +63,10 @@ def boubaker_coefficient(n: int, p: int) -> int:
         raise ValueError(f"p={p} outside [0, {n // 2}] for n={n}")
     if n == 0:
         return 1
-    value = Fraction(n - 4 * p, n - p) * math.comb(n - p, p) * (-1) ** p
-    # the family is integer-valued; a non-integer here would mean a bug
-    assert value.denominator == 1
-    return int(value)
+    value, rem = divmod((n - 4 * p) * math.comb(n - p, p) * (-1) ** p, n - p)
+    # the family is integer-valued; a remainder here would mean a bug
+    assert rem == 0
+    return value
 
 
 def _int_coeffs(n: int) -> list[int]:
@@ -187,21 +186,25 @@ def build_basis(N: int, force: bool = False) -> BoubakerBasis:
             f"condition number grows Hilbert-like and double precision "
             f"results are unreliable; pass force=True to override"
         )
-    polys = tuple(boubaker_polynomial(n) for n in range(N + 1))
-    return BoubakerBasis(N=N, polys=polys, M=build_M(N))
+    Mint = build_M_int(N)
+    polys = tuple(
+        Polynomial(tuple(float(c) for c in row[: n + 1])) for n, row in enumerate(Mint)
+    )
+    return BoubakerBasis(N=N, polys=polys, M=np.array(Mint, dtype=float))
 
 
 def eval_basis(x: float, basis: BoubakerBasis) -> np.ndarray:
-    """Vector [B_0(x), ..., B_N(x)], each entry by Horner on a row of M."""
+    """Vector [B_0(x), ..., B_N(x)], by Horner on all rows of M at once.
+
+    Each entry sees the same multiply and add roundings, in the same order,
+    as a scalar Horner loop over its row.
+    """
     M = basis.M
-    N = basis.N
-    out = np.empty(N + 1)
-    for n in range(N + 1):
-        acc = 0.0
-        for k in range(N, -1, -1):
-            acc = acc * x + M[n, k]
-        out[n] = acc
-    return out
+    acc = M[:, basis.N].copy()
+    for k in range(basis.N - 1, -1, -1):
+        acc *= x
+        acc += M[:, k]
+    return acc
 
 
 def eval_series(C, x: float, basis: BoubakerBasis) -> float:

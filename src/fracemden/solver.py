@@ -10,23 +10,37 @@ order-2a derivative is built directly as a single fractional order, not as
 a composition), the equation is enforced at the N-1 interior
 Chebyshev-Lobatto points x_i = (cos(i pi / N) + 1) / 2, i = 1..N-1 -- which
 avoids both the singular point x = 0 and the endpoint x = 1 -- and the two
-initial conditions close the square algebraic system.  A damped Newton
-iteration with a forward-difference Jacobian solves it; the nonlinearity g
-is a black-box expression, so no analytic Jacobian is assumed.
+initial conditions close the square algebraic system.
+
+That system is assembled once per solve as an affine operator plus one
+nonlinear term, r(C) = A C + s * g(Phi C) - h, where row k of Phi is
+B(x_k).  Damped Newton solves it with the exact Jacobian
+J = A + diag(s * g'(Phi C)) Phi; g' comes from forward-mode
+differentiation of the g expression (expr.evaluate_with_derivative).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr, fraccalc, linalg
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
-from .polybasis import BoubakerBasis, build_basis, eval_basis
+from .polybasis import DEGREE_CAP, BoubakerBasis, build_basis, eval_basis
 
 CONDITION_WARNING_THRESHOLD = 1e12
+# Newton stops once the residual is within this many unit roundoffs of the
+# scale |A||C| + |s g(Phi C)| + |rhs| of its own terms: evaluating r at the
+# exact root in double precision cannot promise less.  With a factor of 1,
+# about one linear solve in forty at N = 10 still takes a second step that
+# only reshuffles rounding; with 4, each of 4000 such solves over alpha in
+# [0.7, 1) stops after its one exact step.
+ROUNDING_FLOOR_FACTOR = 4
+_EPS = float(np.finfo(float).eps)
 
 
 class SolverError(Exception):
@@ -115,14 +129,80 @@ def collocation_points(N: int) -> list[float]:
     return [(math.cos(i * math.pi / N) + 1.0) / 2.0 for i in range(1, N)]
 
 
-def _eval_at(e: expr.Expression, name: str, value: float, where: str) -> float:
+def _eval_at(
+    e: expr.Expression, name: str, value: float, where: str, *, derivative=False
+):
     try:
+        if derivative:
+            return expr.evaluate_with_derivative(e, name, value)
         return expr.evaluate(e, {name: value})
     except expr.EvalError as err:
         raise expr.EvalError(
             f"{err.args[0]} while evaluating {where} at {name}={value!r}",
             err.subexpr,
         ) from err
+
+
+class _System(NamedTuple):
+    """The collocated system r(C) = A C + [s * g(Phi C); 0; 0] - rhs."""
+
+    A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
+    Phi: np.ndarray  # row k is B(x_k) at collocation point k
+    s: np.ndarray  # s(x_k)
+    rhs: np.ndarray  # [h(x_k); a; b]
+
+
+def _assemble(
+    problem: EmdenFowlerProblem,
+    basis: BoubakerBasis,
+    D_alpha: OperationalMatrix,
+    D_2alpha: OperationalMatrix,
+) -> _System:
+    pts = collocation_points(basis.N)
+    Phi = np.array([eval_basis(x, basis) for x in pts])
+    damping = problem.lam / np.array(pts) ** problem.alpha
+    B0 = eval_basis(0.0, basis)
+    A = np.vstack([
+        Phi @ D_2alpha.D.T + damping[:, None] * (Phi @ D_alpha.D.T),
+        B0,
+        D_alpha.D @ B0,
+    ])
+    s = np.array([_eval_at(problem.s, "x", x, "s(x)") for x in pts])
+    h = np.array([_eval_at(problem.h, "x", x, "h(x)") for x in pts])
+    return _System(A, Phi, s, np.concatenate([h, [problem.a, problem.b]]))
+
+
+def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
+    """r(C) and its nonlinear part s * g(Phi C)."""
+    g = [_eval_at(problem.g, "u", u, "g(u)") for u in (system.Phi @ C).tolist()]
+    sg = system.s * np.array(g)
+    r = system.A @ C - system.rhs
+    r[: sg.size] += sg
+    return r, sg
+
+
+def _jacobian(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
+    """Exact J = A + [diag(s * g'(Phi C)) Phi; 0; 0]."""
+    dg = [
+        _eval_at(problem.g, "u", u, "g(u)", derivative=True)[1]
+        for u in (system.Phi @ C).tolist()
+    ]
+    J = system.A.copy()
+    J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.Phi
+    return J
+
+
+def _stop_level(system: _System, sg: np.ndarray, C: np.ndarray, tol: float) -> float:
+    """max(tol, the rounding floor of evaluating r at C)."""
+    scale = np.abs(system.A) @ np.abs(C) + np.abs(system.rhs)
+    scale[: sg.size] += np.abs(sg)
+    return max(tol, ROUNDING_FLOOR_FACTOR * _EPS * float(np.max(scale)))
+
+
+@lru_cache(maxsize=DEGREE_CAP + 1)
+def _gram_condition(N: int) -> float:
+    """Condition estimate of the Gram matrix; it depends on N alone."""
+    return linalg.condition_estimate(linalg.gram(build_basis(N)))
 
 
 def assemble_residual(
@@ -138,23 +218,8 @@ def assemble_residual(
     interior points in descending order; entry N-1 is u(0) - a and entry N
     is D^(alpha) u(0) - b.
     """
-    N = basis.N
-    C = np.asarray(C, dtype=float)
-    out = np.empty(N + 1)
-    pts = collocation_points(N)
-    for k, x in enumerate(pts):
-        Bx = eval_basis(x, basis)
-        u = float(C @ Bx)
-        frac2 = float(C @ (D_2alpha.D @ Bx))
-        frac1 = float(C @ (D_alpha.D @ Bx))
-        sval = _eval_at(problem.s, "x", x, "s(x)")
-        gval = _eval_at(problem.g, "u", u, "g(u)")
-        hval = _eval_at(problem.h, "x", x, "h(x)")
-        out[k] = frac2 + problem.lam / x ** problem.alpha * frac1 + sval * gval - hval
-    B0 = eval_basis(0.0, basis)
-    out[N - 1] = float(C @ B0) - problem.a
-    out[N] = float(C @ (D_alpha.D @ B0)) - problem.b
-    return out
+    system = _assemble(problem, basis, D_alpha, D_2alpha)
+    return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
 def solve(
@@ -163,63 +228,55 @@ def solve(
     *,
     tol: float = 1e-10,
     max_iters: int = 50,
-    fd_step: float = 1e-7,
 ) -> SolveReport:
-    """Damped Newton on the collocated system.
+    """Damped Newton on the collocated system, with its exact Jacobian.
 
     Starts from C = [a, 0, ..., 0] (the constant function u = a, which
     already satisfies u(0) = a since B_0 = 1 and the higher basis
-    constants only enter through their own coefficients).  Success means
-    the infinity-norm residual fell to tol within max_iters iterations.
-    The forward-difference Jacobian is not exact even for a linear
-    problem, so linear problems need no fixed number of iterations:
-    mixed_power(0.7) takes 2 at N = 6 but 6 at N = 10, and linear solves
-    at N = 10 take 2-7 over alpha in [0.7, 1).
+    constants only enter through their own coefficients).  Each step is
+    halved until the infinity-norm residual strictly decreases.  Success
+    means the infinity-norm residual fell to max(tol, floor) within
+    max_iters iterations, where
+    floor = ROUNDING_FLOOR_FACTOR * eps * max(|A||C| + |s g(Phi C)| + |rhs|)
+    is the rounding level of evaluating the residual at C itself; the
+    reported residual_inf is the true residual, never the floor.  The
+    Jacobian is exact, so a linear g takes one Newton step.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     basis = build_basis(N)
     D1 = fraccalc.build_D(problem.alpha, basis)
     D2 = fraccalc.build_D(2.0 * problem.alpha, basis)
-
-    def F(C):
-        return assemble_residual(problem, basis, D1, D2, C)
+    system = _assemble(problem, basis, D1, D2)
 
     C = np.zeros(N + 1)
     C[0] = problem.a
-    r = F(C)
+    r, sg = _residual(problem, system, C)
     rnorm = float(np.max(np.abs(r)))
-    best = rnorm
     iters = 0
-    while rnorm > tol:
+    while rnorm > _stop_level(system, sg, C, tol):
         if iters >= max_iters:
-            raise NonConvergenceError(best, iters)
-        J = np.empty((N + 1, N + 1))
-        for j in range(N + 1):
-            step = fd_step * max(1.0, abs(C[j]))
-            Cp = C.copy()
-            Cp[j] += step
-            J[:, j] = (F(Cp) - r) / step
+            raise NonConvergenceError(rnorm, iters)
+        J = _jacobian(problem, system, C)
         try:
-            d = linalg.lu_solve(J, -r)
-        except linalg.SingularMatrixError as err:
+            d = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError as err:
             raise SingularJacobianError(iters) from err
         # damp by halving until the residual norm actually decreases
         t = 1.0
         for _ in range(30):
             Cn = C + t * d
-            rn = F(Cn)
+            rn, sgn = _residual(problem, system, Cn)
             rn_norm = float(np.max(np.abs(rn)))
             if rn_norm < rnorm:
                 break
             t *= 0.5
         else:
-            raise NonConvergenceError(min(best, rnorm), iters + 1)
-        C, r, rnorm = Cn, rn, rn_norm
-        best = min(best, rnorm)
+            raise NonConvergenceError(rnorm, iters + 1)
+        C, r, sg, rnorm = Cn, rn, sgn, rn_norm
         iters += 1
 
-    cond_q = linalg.condition_estimate(linalg.gram(basis))
+    cond_q = _gram_condition(N)
     warnings = ()
     if cond_q > CONDITION_WARNING_THRESHOLD:
         warnings = (

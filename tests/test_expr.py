@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from fracemden.expr import (
     Num,
     ParseError,
     Var,
+    _digamma,
     evaluate,
+    evaluate_with_derivative,
     parse,
     to_string,
 )
@@ -136,6 +139,75 @@ class TestEvaluation:
         with pytest.raises(EvalError) as err:
             ev("1 + ln(-x)", x=1.0)
         assert "ln" in str(err.value)
+
+
+class TestDerivative:
+    @pytest.mark.parametrize(
+        "src,u",
+        [("u", 0.7), ("-u", 0.7), ("u+2*u", 0.7), ("3-u", 0.7), ("u*u", -0.4),
+         ("1/u", 0.6), ("u/(1+u^2)", 0.3), ("u^3", -0.8), ("u^0.5", 0.6),
+         ("2^u", 0.9), ("u^u", 1.3), ("pow(u, 2.5)", 0.4), ("pow(3, u)", -0.2),
+         ("sin(u)", 0.7), ("cos(u)", 0.7), ("exp(u)", 0.7), ("ln(u)", 0.7),
+         ("sqrt(u)", 0.7), ("abs(u)", -0.7), ("abs(u)", 0.7), ("gamma(u)", 0.3),
+         ("gamma(1+2*u)", 1.7), ("exp(-u^2/2)*sin(3*u)", 0.5), ("gamma(2)*u", 0.5)],
+    )
+    def test_matches_central_difference(self, src, u):
+        e = parse(src, U)
+        value, slope = evaluate_with_derivative(e, "u", u)
+        assert value == evaluate(e, {"u": u})
+        h = 1e-6
+        central = (evaluate(e, {"u": u + h}) - evaluate(e, {"u": u - h})) / (2 * h)
+        assert slope == pytest.approx(central, rel=1e-7, abs=1e-7)
+
+    def test_constant_subexpressions_need_no_derivative(self, monkeypatch):
+        monkeypatch.setattr(
+            "fracemden.expr._digamma", lambda x: pytest.fail("digamma called")
+        )
+        assert evaluate_with_derivative(parse("gamma(2.5)*u", U), "u", 1.0)[1] == (
+            evaluate(parse("gamma(2.5)", U), {})
+        )
+        # no ln of the negative base: the exponent does not vary
+        assert evaluate_with_derivative(parse("u^3", U), "u", -2.0) == (-8.0, 12.0)
+
+    @pytest.mark.parametrize(
+        "src,u",
+        [("ln(u)", -1.0), ("ln(u)", 0.0), ("sqrt(u)", -1.0), ("gamma(u)", 0.0),
+         ("gamma(u-2)", 1.0), ("1/u", 0.0), ("u^0.5", -2.0), ("pow(u, 0.5)", -2.0),
+         ("u^-1", 0.0), ("exp(u)", 1e4), ("2 + ln(u - 1)", 0.5)],
+    )
+    def test_domain_errors_match_evaluate(self, src, u):
+        e = parse(src, U)
+        with pytest.raises(EvalError) as want:
+            evaluate(e, {"u": u})
+        with pytest.raises(EvalError) as got:
+            evaluate_with_derivative(e, "u", u)
+        assert str(got.value) == str(want.value)
+        assert got.value.subexpr == want.value.subexpr
+
+    def test_missing_binding_matches_evaluate(self):
+        e = parse("x + u", {"x", "u"})
+        with pytest.raises(EvalError, match="no binding for variable 'x'"):
+            evaluate_with_derivative(e, "u", 1.0)
+
+    @pytest.mark.parametrize(
+        "src,u,sub",
+        [("2*sqrt(u+1)", -1.0, "sqrt(u+1)"), ("abs(u)", 0.0, "abs(u)"),
+         ("u^0.5", 0.0, "u^0.5"), ("pow(u, 0.5)", 0.0, "pow(u, 0.5)"),
+         ("1 + u^u", -2.0, "u^u")],
+    )
+    def test_missing_derivative_names_subexpression(self, src, u, sub):
+        evaluate(parse(src, U), {"u": u})  # the value itself exists
+        with pytest.raises(EvalError, match="derivative") as err:
+            evaluate_with_derivative(parse(src, U), "u", u)
+        assert err.value.subexpr == parse(sub, U)
+
+    @pytest.mark.parametrize(
+        "x", [1e-3, 0.1, 0.5, 1.0, 1.4616321449683622, 2.7, 9.99, 10.0, 25.0, 1e3]
+    )
+    def test_digamma_matches_mpmath(self, x):
+        with mpmath.workdps(40):
+            ref = float(mpmath.digamma(x))
+        assert abs(_digamma(x) - ref) <= 4e-15 * max(1.0, abs(ref))
 
 
 CORPUS = [

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,12 @@ class TestCoefficient:
     def test_negative_degree(self):
         with pytest.raises(ValueError):
             boubaker_coefficient(-1, 0)
+
+    def test_matches_rational_formula(self):
+        for n in range(1, 41):
+            for p in range(n // 2 + 1):
+                want = Fraction(n - 4 * p, n - p) * math.comb(n - p, p) * (-1) ** p
+                assert boubaker_coefficient(n, p) == want
 
 
 class TestBoubakerPolynomial:
@@ -158,6 +167,22 @@ class TestBasis:
         np.testing.assert_array_equal(
             eval_basis(0.0, build_basis(2)), [1.0, 0.0, 2.0]
         )
+
+    @pytest.mark.parametrize("N", [3, 6, 10, 15])
+    def test_eval_basis_equals_scalar_horner(self, N):
+        basis = build_basis(N)
+        for x in np.random.default_rng(N).uniform(-1.0, 2.0, 500):
+            want = np.empty(N + 1)
+            for n in range(N + 1):
+                acc = 0.0
+                for k in range(N, -1, -1):
+                    acc = acc * x + basis.M[n, k]
+                want[n] = acc
+            assert np.array_equal(eval_basis(x, basis), want)
+
+    def test_polys_match_closed_form(self):
+        basis = build_basis(15)
+        assert basis.polys == tuple(boubaker_polynomial(n) for n in range(16))
 
     def test_matrix_read_only(self):
         basis = build_basis(3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracemden import expr, fraccalc
+from fracemden import expr, fraccalc, linalg, solver
 from fracemden.polybasis import build_basis, eval_basis, eval_series
 from fracemden.problems import lane_emden, mixed_power, shifted_power
 from fracemden.solver import (
@@ -172,6 +172,83 @@ class TestSolve:
             )
         with pytest.raises(ValueError):
             solve(lane_emden(1), 1)
+
+
+class TestExactNewton:
+    @pytest.mark.parametrize(
+        "problem,N",
+        [(lane_emden(5, 0.8), 10), (lane_emden(1, 0.6), 12), (mixed_power(0.75), 10),
+         (shifted_power(0.9), 6)],
+        ids=["polytrope", "floor_stop", "mixed", "shifted"],
+    )
+    def test_reported_residual_is_the_true_residual(self, problem, N):
+        report = solve(problem, N)
+        basis, D1, D2 = _matrices(problem, N)
+        r = assemble_residual(problem, basis, D1, D2, report.C)
+        assert report.residual_inf == float(np.max(np.abs(r)))
+
+    @pytest.mark.parametrize("alpha", [0.7 + 0.025 * k for k in range(12)])
+    @pytest.mark.parametrize("make", [mixed_power, shifted_power])
+    def test_linear_problems_take_one_step(self, make, alpha):
+        assert solve(make(alpha), 10).newton_iters == 1
+
+    def test_one_residual_per_trial_point(self, monkeypatch):
+        # the Jacobian is exact: no residual evaluations beyond the start
+        # point and the accepted full step
+        calls = []
+        residual = solver._residual
+
+        def counted(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(solver, "_residual", counted)
+        assert solve(mixed_power(0.8), 10).newton_iters == 1
+        assert len(calls) == 2
+
+    def test_missing_derivative_is_an_eval_error(self):
+        problem = EmdenFowlerProblem(
+            alpha=1.0, lam=2.0, s=expr.parse("1", {"x"}),
+            g=expr.parse("sqrt(u)", {"u"}), h=expr.parse("1", {"x"}), a=0.0, b=0.0,
+        )
+        with pytest.raises(expr.EvalError, match="derivative.*g\\(u\\) at u=0.0"):
+            solve(problem, 4)
+
+    def test_singular_jacobian_raises(self):
+        # N = 2: J's collocation row 2*e_2 - 8*B(1/2) = [-8, -4, -16] is an
+        # exact combination of the initial-condition rows [1, 0, 2], [0, 1, 0]
+        problem = EmdenFowlerProblem(
+            alpha=1.0, lam=0.0, s=expr.parse("8", {"x"}),
+            g=expr.parse("-u", {"u"}), h=expr.parse("1", {"x"}), a=0.0, b=0.0,
+        )
+        with pytest.raises(solver.SingularJacobianError) as err:
+            solve(problem, 2)
+        assert err.value.iteration == 0
+
+    def test_gram_condition_is_unchanged(self):
+        report = solve(lane_emden(1), 6)
+        assert report.cond_Q == linalg.condition_estimate(linalg.gram(build_basis(6)))
+
+
+# lane_emden(n, alpha) over the supported domain; every cell converges
+# except (5, 0.6, 12), left out because its outcome may depend on BLAS
+# rounding (see CHANGES.md)
+LANE_EMDEN_SWEEP = [
+    (n, alpha, N)
+    for n in (1, 5)
+    for alpha in (0.6, 0.7, 0.8, 0.9, 1.0)
+    for N in (6, 8, 10, 12, 15)
+    if (n, alpha, N) != (5, 0.6, 12)
+]
+
+
+@pytest.mark.parametrize("n,alpha,N", LANE_EMDEN_SWEEP)
+def test_lane_emden_sweep_converges(n, alpha, N):
+    iters = solve(lane_emden(n, alpha), N).newton_iters
+    if n == 1:
+        assert iters == 1  # linear: one exact Newton step
+    else:
+        assert iters <= 5
 
 
 class TestResidualCertificate:
