@@ -178,8 +178,8 @@ def project(f, basis: BoubakerBasis, singular_at_zero: bool = False) -> np.ndarr
         C_hat = _interpolate_exact(vals, N)
         check, _ = _gl01(N + 2)
         resid = max(
-            abs(v - float(C_hat @ eval_basis(x, basis)))
-            for x, v in zip(check, _sample(f, check))
+            abs(v - float(C_hat @ bx))
+            for bx, v in zip(eval_basis(check, basis), _sample(f, check))
         )
         scale = max(1.0, max(abs(v) for v in vals))
         if resid <= _SPAN_DETECT_RTOL * scale:
@@ -195,7 +195,7 @@ def l2_error(f, C, basis: BoubakerBasis, singular_at_zero: bool = False) -> floa
     total = 0.0
     for xs, ws in _quad_nodes(singular_at_zero):
         fv = _sample(f, xs)
-        rv = fv - np.array([C @ eval_basis(x, basis) for x in xs])
+        rv = fv - np.array([C @ bx for bx in eval_basis(xs, basis)])
         total += float(ws @ (rv * rv))
     return math.sqrt(max(total, 0.0))
 
@@ -203,8 +203,9 @@ def l2_error(f, C, basis: BoubakerBasis, singular_at_zero: bool = False) -> floa
 def max_abs_error_on_grid(f, C, basis: BoubakerBasis, grid) -> list[tuple[float, float]]:
     """Pointwise |f(x) - C^T B(x)| over the given grid."""
     C = np.asarray(C, dtype=float)
+    grid = list(grid)
     out = []
-    for x in grid:
-        err = abs(float(f(x)) - float(C @ eval_basis(x, basis)))
+    for x, bx in zip(grid, eval_basis(grid, basis)):
+        err = abs(float(f(x)) - float(C @ bx))
         out.append((float(x), err))
     return out

@@ -193,14 +193,20 @@ def build_basis(N: int, force: bool = False) -> BoubakerBasis:
     return BoubakerBasis(N=N, polys=polys, M=np.array(Mint, dtype=float))
 
 
-def eval_basis(x: float, basis: BoubakerBasis) -> np.ndarray:
-    """Vector [B_0(x), ..., B_N(x)], by Horner on all rows of M at once.
+def eval_basis(x, basis: BoubakerBasis) -> np.ndarray:
+    """[B_0(x), ..., B_N(x)] for a scalar x; for an array of points, the
+    matrix whose row k is that vector at x[k].
 
-    Each entry sees the same multiply and add roundings, in the same order,
-    as a scalar Horner loop over its row.
+    One Horner loop runs over all rows of M and all points at once.  Each
+    entry sees the same multiply and add roundings, in the same order, as
+    a scalar Horner loop over its row, so a grid call equals the stack of
+    scalar calls bit for bit.
     """
     M = basis.M
-    acc = M[:, basis.N].copy()
+    x = np.asarray(x, dtype=float)
+    acc = np.empty(x.shape + (basis.N + 1,))
+    acc[...] = M[:, basis.N]
+    x = x[..., None]
     for k in range(basis.N - 1, -1, -1):
         acc *= x
         acc += M[:, k]

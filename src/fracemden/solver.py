@@ -159,7 +159,7 @@ def _assemble(
     D_2alpha: OperationalMatrix,
 ) -> _System:
     pts = collocation_points(basis.N)
-    Phi = np.array([eval_basis(x, basis) for x in pts])
+    Phi = eval_basis(pts, basis)
     damping = problem.lam / np.array(pts) ** problem.alpha
     B0 = eval_basis(0.0, basis)
     A = np.vstack([
@@ -288,9 +288,9 @@ def solve(
     error_table = None
     if problem.exact is not None:
         rows = []
-        for k in range(1, 11):
-            x = k / 10.0
-            approx = float(C @ eval_basis(x, basis))
+        xs = [k / 10.0 for k in range(1, 11)]
+        for x, bx in zip(xs, eval_basis(xs, basis)):
+            approx = float(C @ bx)
             exact_val = _eval_at(problem.exact, "x", x, "exact(x)")
             rows.append((x, approx, exact_val, abs(approx - exact_val)))
         error_table = tuple(rows)

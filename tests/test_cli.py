@@ -1,12 +1,15 @@
 import csv
 import io
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from fracemden import approx, fraccalc
 from fracemden.cli import main, poly_str
-from fracemden.polybasis import boubaker_polynomial
+from fracemden.polybasis import boubaker_polynomial, build_basis, eval_basis
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -93,6 +96,11 @@ class TestOpmatrixCommand:
     def test_degree_cap(self, capsys):
         code, _ = run("opmatrix", "--alpha", "1", "--n", "16")
         assert code == 2
+
+    def test_domain_message_comes_from_library(self, capsys):
+        code, _ = run("opmatrix", "--alpha", "2.5", "--n", "4")
+        assert code == 2
+        assert capsys.readouterr().err == "error: order must lie in (0, 2.0], got 2.5\n"
 
 
 class TestSolveCommand:
@@ -247,6 +255,57 @@ class TestOracleCheckCommand:
     def test_domain_guard(self, capsys):
         code, _ = run("oracle-check", "--alpha", "2.5", "--n", "4")
         assert code == 2
+
+    def test_avoids_per_point_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle-check integrated point by point")
+
+        monkeypatch.setattr(approx, "integrate_01", forbidden)
+        code, out = run("oracle-check", "--alpha", "0.7", "--n", "6")
+        assert code == 0
+        assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("N", [3, 6, 10])
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9, 1.3])
+    def test_matches_pointwise_quadrature(self, alpha, N):
+        worst_orth, l2 = _pointwise_oracle_figures(alpha, N)
+        code, out = run("oracle-check", "--alpha", str(alpha), "--n", str(N))
+        good = worst_orth <= 1e-8
+        assert code == (0 if good else 1)
+        orth_line = next(s for s in out.splitlines() if "orthogonality" in s)
+        assert orth_line.startswith("[PASS]" if good else "[FAIL]")
+        got_l2 = [float(v) for v in re.findall(r"_L2 = (\S+)", out)]
+        assert len(got_l2) == len(l2)
+        # the figures print with 4 digits: one unit in the last of them,
+        # plus an absolute slack far above the measured 4.4e-18
+        for got, want in zip(got_l2, l2):
+            assert abs(got - want) <= 1e-3 * want + 1e-17
+        got_orth = float(re.search(r"B_j>\| = (\S+)\)", orth_line).group(1))
+        assert abs(got_orth - worst_orth) <= 1e-3 * worst_orth + 1e-16
+
+
+def _pointwise_oracle_figures(alpha, N):
+    """Orthogonality and L2 figures by the former route: one closure per
+    (i, j) pair, integrated node by node through approx.integrate_01."""
+    basis = build_basis(N)
+    E = fraccalc.build_E(alpha, basis)
+    worst_orth = 0.0
+    l2 = []
+    for i in range(math.ceil(alpha), N + 1):
+        e_i, p = E[i], i - alpha
+        for j in range(N + 1):
+            def integrand(x, _j=j):
+                bx = eval_basis(x, basis)
+                return (x ** p - float(e_i @ bx)) * bx[_j]
+
+            r = approx.integrate_01(integrand, singular_at_zero=True)
+            worst_orth = max(worst_orth, abs(r))
+
+        def sq(x):
+            return (x ** p - float(e_i @ eval_basis(x, basis))) ** 2
+
+        l2.append(math.sqrt(max(approx.integrate_01(sq, singular_at_zero=True), 0.0)))
+    return worst_orth, l2
 
 
 class TestExitCodes:

@@ -180,6 +180,16 @@ class TestBasis:
                 want[n] = acc
             assert np.array_equal(eval_basis(x, basis), want)
 
+    @pytest.mark.parametrize("N", range(16))
+    def test_eval_basis_on_grid_equals_scalar_calls(self, N):
+        basis = build_basis(N)
+        lobatto = (np.cos(np.arange(N + 1) * math.pi / max(N, 1)) + 1.0) / 2.0
+        for xs in (lobatto, np.linspace(0.0, 1.0, 101), np.array([0.37])):
+            want = np.array([eval_basis(float(x), basis) for x in xs])
+            assert np.array_equal(eval_basis(xs, basis), want)
+        assert eval_basis(np.array([]), basis).shape == (0, N + 1)
+        assert eval_basis(0.37, basis).shape == (N + 1,)
+
     def test_polys_match_closed_form(self):
         basis = build_basis(15)
         assert basis.polys == tuple(boubaker_polynomial(n) for n in range(16))
