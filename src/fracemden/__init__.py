@@ -33,7 +33,6 @@ from .linalg import (
     condition_estimate,
     gram,
     hilbert,
-    invert,
     lu_solve,
 )
 from .polybasis import (
@@ -91,7 +90,6 @@ __all__ = [
     "gauss_legendre",
     "gram",
     "hilbert",
-    "invert",
     "l2_error",
     "lu_solve",
     "max_abs_error_on_grid",

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import approx, expr, fraccalc, linalg, refdata
-from .polybasis import DEGREE_CAP, Polynomial, build_basis, eval_basis
+from .polybasis import Polynomial, build_basis, eval_basis
 from .problems import (
     ProblemFileError,
     exp_square,
@@ -82,19 +82,7 @@ def _print_matrix(D: np.ndarray, out) -> None:
 
 
 def cmd_basis(args, out) -> int:
-    N = args.n
-    if N < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if N > DEGREE_CAP and not args.force:
-        print(
-            f"error: N={N} exceeds the cap {DEGREE_CAP}; the Gram matrix "
-            f"condition number is beyond 1e12 there and results are "
-            f"untrustworthy (pass --force to proceed anyway)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    basis = build_basis(N, force=True)
+    basis = build_basis(args.n, force=args.force)
     for n, p in enumerate(basis.polys):
         print(f"B_{n} = {poly_str(p)}", file=out)
     print("M =", file=out)
@@ -478,7 +466,7 @@ def main(argv=None, out=None) -> int:
         return dispatch[args.command](args, out)
     except ValueError as err:
         # domain errors raised by the library itself: fraccalc._check_order
-        # (order range, ceil(alpha) <= N) and build_basis (degree cap)
+        # (order range, ceil(alpha) <= N) and build_basis (degree bound and cap)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

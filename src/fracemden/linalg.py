@@ -1,18 +1,18 @@
 """Dense real linear algebra sized for small spectral systems.
 
-Everything here operates on plain numpy arrays at most (DEGREE_CAP+1)
-square.  Alongside the double-precision kernels there is an exact-rational
-layer (Fraction matrices) used where Hilbert-like conditioning would ruin
-float64.  The operational matrix does not use it: its expansion matrix E
-comes from closed-form Legendre moments in exact integer arithmetic (see
-fraccalc).  The rational Gram matrix now backs only the positive-
-definiteness certificate, and the exact solve also serves the Vandermonde
-interpolation in approx.
+Everything here operates on matrices at most (DEGREE_CAP+1) square, in two
+layers.  The float layer is numpy: the Gram matrix M H M^T, and a solve
+and a 1-norm condition number that both go to numpy's LAPACK.  The
+exact-rational layer works on Fraction matrices, where Hilbert-like
+conditioning would ruin float64: the exact Gram matrix backs the
+positive-definiteness certificate, and the exact solve serves the
+Vandermonde interpolation in approx.  The operational matrix uses neither
+solve: its expansion matrix E comes from closed-form Legendre moments in
+exact integer arithmetic (see fraccalc).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,7 +22,7 @@ from .polybasis import BoubakerBasis, build_M_int
 
 
 class SingularMatrixError(Exception):
-    """Raised on an exactly zero pivot; carries the pivot index."""
+    """Raised by the exact layer on an exactly zero pivot; carries its index."""
 
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
@@ -48,62 +48,21 @@ def gram(basis: BoubakerBasis) -> np.ndarray:
     return np.triu(R) + np.triu(R, 1).T
 
 
-def lu_factor(A: np.ndarray):
-    """LU with partial pivoting; returns (LU, piv). Internal helper."""
-    A = np.array(A, dtype=float)
-    n, m = A.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {n}x{m}")
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            raise SingularMatrixError(k)
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        A[k + 1:, k] /= A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, piv
-
-
 def lu_solve(A: np.ndarray, b) -> np.ndarray:
-    """Solve A x = b (b a vector or a matrix of right-hand sides)."""
-    LU, piv = lu_factor(A)
-    b = np.asarray(b, dtype=float)
-    vector = b.ndim == 1
-    B = b[:, None].copy() if vector else b.copy()
-    if B.shape[0] != LU.shape[0]:
-        raise ValueError(
-            f"right-hand side has {B.shape[0]} rows, matrix is {LU.shape[0]}x{LU.shape[0]}"
-        )
-    B = B[piv]
-    n = LU.shape[0]
-    for k in range(n):  # forward, unit lower
-        B[k + 1:] -= np.outer(LU[k + 1:, k], B[k])
-    for k in range(n - 1, -1, -1):  # backward
-        B[k] /= LU[k, k]
-        B[:k] -= np.outer(LU[:k, k], B[k])
-    return B[:, 0] if vector else B
+    """Solve A x = b (b a vector or a matrix of right-hand sides) by LAPACK.
 
-
-def invert(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    return lu_solve(A, np.eye(A.shape[0]))
+    Raises np.linalg.LinAlgError (a ValueError) on a singular matrix.
+    """
+    return np.linalg.solve(A, b)
 
 
 def condition_estimate(A: np.ndarray) -> float:
-    """1-norm condition number from the explicit inverse; inf if singular.
+    """1-norm condition number ||A||_1 ||A^-1||_1; inf if A is singular.
 
-    Fine at these sizes; accurate to a small factor until kappa approaches
-    1/eps, which is exactly when the caller should stop trusting results.
+    Accurate while kappa stays well below 1/eps.  Past that it saturates
+    near 1e17-1e18, which says only that double precision is exhausted.
     """
-    A = np.asarray(A, dtype=float)
-    try:
-        Ainv = invert(A)
-    except SingularMatrixError:
-        return math.inf
-    return float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1))
+    return float(np.linalg.cond(A, 1))
 
 
 # -- exact-rational layer ---------------------------------------------------

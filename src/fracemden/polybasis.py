@@ -183,8 +183,8 @@ def build_basis(N: int, force: bool = False) -> BoubakerBasis:
     if N > DEGREE_CAP and not force:
         raise ValueError(
             f"N={N} exceeds the default cap {DEGREE_CAP}: the Gram matrix "
-            f"condition number grows Hilbert-like and double precision "
-            f"results are unreliable; pass force=True to override"
+            "condition number grows Hilbert-like and double precision "
+            "results are unreliable"
         )
     Mint = build_M_int(N)
     polys = tuple(

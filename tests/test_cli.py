@@ -308,6 +308,31 @@ def _pointwise_oracle_figures(alpha, N):
     return worst_orth, l2
 
 
+class TestDegreeCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--n", "16"],
+            ["opmatrix", "--alpha", "0.7", "--n", "16"],
+            ["oracle-check", "--alpha", "0.7", "--n", "16"],
+            ["solve", "{prob}", "--out", "{out}"],
+        ],
+        ids=["basis", "opmatrix", "oracle-check", "solve"],
+    )
+    def test_every_command_reports_the_library_cap(self, argv, tmp_path, capsys):
+        prob = tmp_path / "big.prob"
+        prob.write_text(
+            'alpha = 0.7\nlambda = 2\ns = "1"\ng = "u"\nh = "0"\n'
+            "a = 1\nb = 0\nN = 16\n"
+        )
+        code, _ = run(*(a.format(prob=prob, out=tmp_path / "o") for a in argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cap" in err
+        # the library keyword is no option of any command
+        assert "force=True" not in err
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         code, _ = run("frobnicate")
