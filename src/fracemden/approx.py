@@ -73,8 +73,13 @@ class QuadratureRule:
 
 @lru_cache(maxsize=64)
 def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule on [0, 1], read-only since
+    every caller shares the cached arrays."""
     x, w = leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def gauss_legendre(n: int) -> QuadratureRule:

@@ -387,20 +387,30 @@ def cmd_oracle_check(args, out) -> int:
 
     # On each graded quadrature panel, Phi holds B(x) at its nodes and R the
     # projection residuals x^(i-alpha) - e_i^T B(x) of rows i >= ceil(alpha).
+    # Evaluating e_i^T B(x) in double carries an absolute error up to
+    # eps * sum_j |E_ij||B_j(x)|; its maximum over the nodes is the rounding
+    # floor that a failing orthogonality line names.
     E = fraccalc.build_E(alpha, basis)[ca:]
     expnts = np.arange(ca, N + 1) - alpha
     orth = np.zeros((len(expnts), N + 1))  # <residual_i, B_j>
     sq = np.zeros(len(expnts))  # |residual_i|_L2^2
+    scale = 0.0  # max_x sum_j |E_ij||B_j(x)|
     for xs, ws in approx._quad_nodes(True):
         Phi = eval_basis(xs, basis)
         R = xs[:, None] ** expnts - Phi @ E.T
         orth += (ws[:, None] * R).T @ Phi
         sq += ws @ (R * R)
+        scale = max(scale, float(np.max(np.abs(Phi) @ np.abs(E).T)))
     worst_orth = float(np.max(np.abs(orth)))
-    good = worst_orth <= 1e-8
+    bound = 1e-8
+    good = worst_orth <= bound
     ok &= good
-    print(f"[{'PASS' if good else 'FAIL'}] projection-residual orthogonality "
-          f"(max |<residual, B_j>| = {worst_orth:.3e})", file=out)
+    line = (f"[{'PASS' if good else 'FAIL'}] projection-residual orthogonality "
+            f"(max |<residual, B_j>| = {worst_orth:.3e})")
+    if not good:
+        line += (f" > bound {bound:g}; rounding floor "
+                 f"eps*max_x sum_j |E_ij||B_j(x)| = {np.finfo(float).eps * scale:.3e}")
+    print(line, file=out)
 
     for i, expnt, l2 in zip(range(ca, N + 1), expnts, np.sqrt(np.maximum(sq, 0.0))):
         print(f"  projection residual |x^{expnt:g} - e_{i}^T B|_L2 = {l2:.3e}",

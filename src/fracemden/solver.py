@@ -17,6 +17,14 @@ nonlinear term, r(C) = A C + s * g(Phi C) - h, where row k of Phi is
 B(x_k).  Damped Newton solves it with the exact Jacobian
 J = A + diag(s * g'(Phi C)) Phi; g' comes from forward-mode
 differentiation of the g expression (expr.evaluate_with_derivative).
+
+What does not depend on the problem is built once per key and cached:
+per degree bound N the basis, the collocation points, Phi, B(0), the
+basis at the error-table points and the Gram condition estimate; per
+(alpha, N) the operational matrices of orders alpha and 2 alpha and the
+affine pieces Phi D_2alpha^T, Phi D_alpha^T and D_alpha B(0).  Every
+cached array is read-only.  A solve then applies only what belongs to its
+problem: the damping lambda / x^alpha, s and h.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ CONDITION_WARNING_THRESHOLD = 1e12
 # [0.7, 1) stops after its one exact step.
 ROUNDING_FLOOR_FACTOR = 4
 _EPS = float(np.finfo(float).eps)
+# (alpha, N) keys whose operators stay cached; each entry holds a few
+# (N+1)-square arrays.
+_OPERATOR_CACHE_SIZE = 32
+# points of a solve's error table
+_TABLE_XS = tuple(k / 10.0 for k in range(1, 11))
 
 
 class SolverError(Exception):
@@ -143,6 +156,34 @@ def _eval_at(
         ) from err
 
 
+class _Grid(NamedTuple):
+    """What the collocated system takes from the degree bound N alone."""
+
+    basis: BoubakerBasis
+    pts: tuple[float, ...]  # interior collocation points, descending
+    x: np.ndarray  # the same points as an array
+    Phi: np.ndarray  # row k is B(x_k)
+    B0: np.ndarray  # B(0)
+
+
+class _Degree(NamedTuple):
+    """A solve's cached share of the degree bound N."""
+
+    grid: _Grid
+    cond_Q: float  # condition estimate of the Gram matrix
+    table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
+
+
+class _Operators(NamedTuple):
+    """The affine pieces that depend on (alpha, N) alone."""
+
+    D_alpha: OperationalMatrix
+    D_2alpha: OperationalMatrix
+    P2: np.ndarray  # Phi D_2alpha^T: D^(2alpha) of each basis function at x_k
+    P1: np.ndarray  # Phi D_alpha^T
+    ic: np.ndarray  # D_alpha B(0): the row of the condition D^(alpha) u(0) = b
+
+
 class _System(NamedTuple):
     """The collocated system r(C) = A C + [s * g(Phi C); 0; 0] - rhs."""
 
@@ -152,24 +193,58 @@ class _System(NamedTuple):
     rhs: np.ndarray  # [h(x_k); a; b]
 
 
-def _assemble(
-    problem: EmdenFowlerProblem,
-    basis: BoubakerBasis,
-    D_alpha: OperationalMatrix,
-    D_2alpha: OperationalMatrix,
-) -> _System:
-    pts = collocation_points(basis.N)
-    Phi = eval_basis(pts, basis)
-    damping = problem.lam / np.array(pts) ** problem.alpha
-    B0 = eval_basis(0.0, basis)
-    A = np.vstack([
-        Phi @ D_2alpha.D.T + damping[:, None] * (Phi @ D_alpha.D.T),
-        B0,
-        D_alpha.D @ B0,
-    ])
-    s = np.array([_eval_at(problem.s, "x", x, "s(x)") for x in pts])
-    h = np.array([_eval_at(problem.h, "x", x, "h(x)") for x in pts])
-    return _System(A, Phi, s, np.concatenate([h, [problem.a, problem.b]]))
+def _grid(basis: BoubakerBasis) -> _Grid:
+    pts = tuple(collocation_points(basis.N))
+    return _Grid(
+        basis, pts, np.array(pts), eval_basis(pts, basis), eval_basis(0.0, basis)
+    )
+
+
+def _operators(
+    grid: _Grid, D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix
+) -> _Operators:
+    return _Operators(
+        D_alpha, D_2alpha, grid.Phi @ D_2alpha.D.T, grid.Phi @ D_alpha.D.T,
+        D_alpha.D @ grid.B0,
+    )
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@lru_cache(maxsize=DEGREE_CAP + 1)
+def _cached_degree(N: int) -> _Degree:
+    """The read-only grid and error-table rows of degree N, with the Gram
+    condition estimate."""
+    basis = build_basis(N)
+    grid = _grid(basis)
+    table_rows = eval_basis(_TABLE_XS, basis)
+    _read_only(grid.x, grid.Phi, grid.B0, table_rows)
+    cond_q = linalg.condition_estimate(linalg.gram(basis))
+    return _Degree(grid, cond_q, table_rows)
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _cached_operators(alpha: float, N: int) -> _Operators:
+    """The read-only operators of order alpha on the degree-N grid."""
+    grid = _cached_degree(N).grid
+    ops = _operators(
+        grid,
+        fraccalc.build_D(alpha, grid.basis),
+        fraccalc.build_D(2.0 * alpha, grid.basis),
+    )
+    _read_only(ops.P2, ops.P1, ops.ic)
+    return ops
+
+
+def _assemble(problem: EmdenFowlerProblem, grid: _Grid, ops: _Operators) -> _System:
+    damping = problem.lam / grid.x ** problem.alpha
+    A = np.vstack([ops.P2 + damping[:, None] * ops.P1, grid.B0, ops.ic])
+    s = np.array([_eval_at(problem.s, "x", x, "s(x)") for x in grid.pts])
+    h = np.array([_eval_at(problem.h, "x", x, "h(x)") for x in grid.pts])
+    return _System(A, grid.Phi, s, np.concatenate([h, [problem.a, problem.b]]))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
@@ -199,12 +274,6 @@ def _stop_level(system: _System, sg: np.ndarray, C: np.ndarray, tol: float) -> f
     return max(tol, ROUNDING_FLOOR_FACTOR * _EPS * float(np.max(scale)))
 
 
-@lru_cache(maxsize=DEGREE_CAP + 1)
-def _gram_condition(N: int) -> float:
-    """Condition estimate of the Gram matrix; it depends on N alone."""
-    return linalg.condition_estimate(linalg.gram(build_basis(N)))
-
-
 def assemble_residual(
     problem: EmdenFowlerProblem,
     basis: BoubakerBasis,
@@ -218,7 +287,8 @@ def assemble_residual(
     interior points in descending order; entry N-1 is u(0) - a and entry N
     is D^(alpha) u(0) - b.
     """
-    system = _assemble(problem, basis, D_alpha, D_2alpha)
+    grid = _grid(basis)
+    system = _assemble(problem, grid, _operators(grid, D_alpha, D_2alpha))
     return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
@@ -241,13 +311,16 @@ def solve(
     is the rounding level of evaluating the residual at C itself; the
     reported residual_inf is the true residual, never the floor.  The
     Jacobian is exact, so a linear g takes one Newton step.
+
+    The basis, its collocation grid, the error-table rows and the Gram
+    condition are built once per N, and the operational matrices of orders
+    alpha and 2 alpha with their products on that grid once per (alpha, N);
+    they are cached as read-only arrays, so a repeated key builds no matrix.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    basis = build_basis(N)
-    D1 = fraccalc.build_D(problem.alpha, basis)
-    D2 = fraccalc.build_D(2.0 * problem.alpha, basis)
-    system = _assemble(problem, basis, D1, D2)
+    degree = _cached_degree(N)
+    system = _assemble(problem, degree.grid, _cached_operators(problem.alpha, N))
 
     C = np.zeros(N + 1)
     C[0] = problem.a
@@ -276,7 +349,7 @@ def solve(
         C, r, sg, rnorm = Cn, rn, sgn, rn_norm
         iters += 1
 
-    cond_q = _gram_condition(N)
+    cond_q = degree.cond_Q
     warnings = ()
     if cond_q > CONDITION_WARNING_THRESHOLD:
         warnings = (
@@ -288,8 +361,7 @@ def solve(
     error_table = None
     if problem.exact is not None:
         rows = []
-        xs = [k / 10.0 for k in range(1, 11)]
-        for x, bx in zip(xs, eval_basis(xs, basis)):
+        for x, bx in zip(_TABLE_XS, degree.table_rows):
             approx = float(C @ bx)
             exact_val = _eval_at(problem.exact, "x", x, "exact(x)")
             rows.append((x, approx, exact_val, abs(approx - exact_val)))
@@ -297,7 +369,7 @@ def solve(
 
     return SolveReport(
         C=C,
-        points=tuple(collocation_points(N)),
+        points=degree.grid.pts,
         newton_iters=iters,
         residual_inf=rnorm,
         cond_Q=cond_q,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracemden import approx
 from fracemden.approx import (
     EvaluationError,
     gauss_legendre,
@@ -45,6 +46,18 @@ class TestGaussLegendre:
     def test_bounds(self, n):
         with pytest.raises(ValueError):
             gauss_legendre(n)
+
+    def test_cached_rule_is_read_only(self):
+        # _quad_nodes hands the cached arrays of _gl01 to every caller, so a
+        # write through one of them would corrupt all later quadratures
+        nodes, weights = approx._gl01(approx.QUAD_POINTS)
+        xs, ws = approx._quad_nodes(False)[0]
+        assert xs is nodes and ws is weights
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = a[0]  # the same value: a failing check corrupts nothing
+        rule = gauss_legendre(8)
+        assert rule.nodes is not approx._gl01(8)[0]
 
 
 class TestIntegrate01:

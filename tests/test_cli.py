@@ -265,6 +265,34 @@ class TestOracleCheckCommand:
         assert code == 0
         assert out.strip().endswith("PASS")
 
+    def test_failure_names_rounding_floor(self):
+        # at N = 15 the orthogonality residual sits below the rounding level
+        # of evaluating e_i^T B(x) in double, which the FAIL line prints
+        code, out = run("oracle-check", "--alpha", "0.7", "--n", "15")
+        assert code == 1
+        orth_line = next(s for s in out.splitlines() if "orthogonality" in s)
+        match = re.fullmatch(
+            r"\[FAIL\] .* = (\S+)\) > bound 1e-08; rounding floor "
+            r"eps\*max_x sum_j \|E_ij\|\|B_j\(x\)\| = (\S+)",
+            orth_line,
+        )
+        assert match
+        worst, floor = (float(v) for v in match.groups())
+        basis = build_basis(15)
+        E = fraccalc.build_E(0.7, basis)[1:]
+        scale = max(
+            float(np.max(np.abs(eval_basis(xs, basis)) @ np.abs(E).T))
+            for xs, _ in approx._quad_nodes(True)
+        )
+        assert floor == float(f"{np.finfo(float).eps * scale:.3e}")
+        assert 1e-8 < worst < floor
+
+    def test_pass_line_has_no_floor(self):
+        _, out = run("oracle-check", "--alpha", "0.7", "--n", "6")
+        orth_line = next(s for s in out.splitlines() if "orthogonality" in s)
+        assert re.fullmatch(r"\[PASS\] projection-residual orthogonality "
+                            r"\(max \|<residual, B_j>\| = \S+\)", orth_line)
+
     @pytest.mark.parametrize("N", [3, 6, 10])
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9, 1.3])
     def test_matches_pointwise_quadrature(self, alpha, N):

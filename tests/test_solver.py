@@ -230,6 +230,83 @@ class TestExactNewton:
         assert report.cond_Q == linalg.condition_estimate(linalg.gram(build_basis(6)))
 
 
+def _cubic(alpha=0.9, lam=1.0, a=1.0, c=0.25):
+    """u^3 problem with s = 1 whose forcing makes u* = a + c x^(2 alpha)
+    exact, as in the benchmark's nonlinear family."""
+    a2 = 2.0 * alpha
+    ustar = f"({a!r} + {c!r}*x^{a2!r})"
+    h = (f"{c!r}*gamma(1 + {a2!r}) + {lam!r}*{c!r}*gamma(1 + {a2!r})"
+         f"/gamma(1 + {alpha!r}) + {ustar}^3")
+    return solver.problem_from_strings(alpha, lam, "1", "u^3", h, a, 0.0, exact=ustar)
+
+
+def _clear_caches():
+    solver._cached_degree.cache_clear()
+    solver._cached_operators.cache_clear()
+
+
+class TestOperatorCache:
+    @pytest.mark.parametrize(
+        "problem,N",
+        [(lane_emden(5), 8), (mixed_power(0.7), 10), (_cubic(), 6)],
+        ids=["lane_emden5", "mixed_power07", "cubic"],
+    )
+    def test_warm_solve_equals_cold(self, problem, N):
+        _clear_caches()
+        cold = solve(problem, N)
+        warm = solve(problem, N)
+        assert np.array_equal(cold.C, warm.C)
+        assert cold.residual_inf == warm.residual_inf
+        assert cold.error_table is not None
+        assert np.array_equal(cold.error_table, warm.error_table)
+        assert cold.cond_Q == warm.cond_Q
+
+    def test_cached_arrays_refuse_writes(self):
+        problem = _cubic()
+        solve(problem, 6)
+        degree = solver._cached_degree(6)
+        ops = solver._cached_operators(problem.alpha, 6)
+        arrays = (degree.grid.x, degree.grid.Phi, degree.grid.B0, degree.table_rows,
+                  ops.D_alpha.D, ops.D_2alpha.D, ops.P2, ops.P1, ops.ic)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = a.copy()  # same values: a failing check corrupts nothing
+
+    def test_operators_built_once_per_key(self, monkeypatch):
+        calls = {"build_D": 0, "build_basis": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fraccalc, "build_D", counting("build_D", fraccalc.build_D))
+        monkeypatch.setattr(solver, "build_basis", counting("build_basis", build_basis))
+        _clear_caches()
+        solve(_cubic(0.75), 6)
+        assert calls == {"build_D": 2, "build_basis": 1}
+        # another problem on the same key reuses every operator
+        solve(_cubic(0.75, lam=2.0, a=0.5, c=-0.5), 6)
+        assert calls == {"build_D": 2, "build_basis": 1}
+        # a new order on the same N builds its matrices only
+        solve(_cubic(1.0), 6)
+        assert calls == {"build_D": 4, "build_basis": 1}
+        _clear_caches()
+
+    def test_assemble_residual_uses_the_matrices_it_is_given(self):
+        problem, N = _cubic(), 6
+        before = solve(problem, N)
+        basis, D1, D2 = _matrices(problem, N)
+        r = assemble_residual(problem, basis, D1, D2, before.C)
+        perturbed = fraccalc.OperationalMatrix(D1.alpha, D1.N, D1.D + 1e-3)
+        r_perturbed = assemble_residual(problem, basis, perturbed, D2, before.C)
+        assert not np.array_equal(r, r_perturbed)
+        after = solve(problem, N)
+        assert np.array_equal(after.C, before.C)
+        assert after.residual_inf == before.residual_inf
+
+
 # lane_emden(n, alpha) over the supported domain; every cell converges
 # except (5, 0.6, 12), left out because its outcome may depend on BLAS
 # rounding (see CHANGES.md)
