@@ -11,8 +11,6 @@ Typical use:
 
 from .approx import (
     EvaluationError,
-    QuadratureRule,
-    gauss_legendre,
     l2_error,
     max_abs_error_on_grid,
     project,
@@ -67,7 +65,6 @@ __all__ = [
     "NonConvergenceError",
     "OperationalMatrix",
     "Polynomial",
-    "QuadratureRule",
     "SingularMatrixError",
     "SolveReport",
     "SolverError",
@@ -87,7 +84,6 @@ __all__ = [
     "eval_basis",
     "eval_series",
     "gamma_fn",
-    "gauss_legendre",
     "gram",
     "hilbert",
     "l2_error",

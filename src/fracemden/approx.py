@@ -17,13 +17,14 @@ conditioned routes are used:
 Both routes agree with the Gram-matrix definition in exact arithmetic.
 Quadrature order is fixed (64 Gauss-Legendre points, composited over four
 geometrically graded panels when an integrable singularity at x = 0 is
-flagged) to keep results bit-reproducible.
+flagged) to keep results bit-reproducible; every rule comes from one
+cached, read-only node/weight pair per point count.  Series values on a
+grid come from polybasis.eval_series, one call per grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,7 +34,8 @@ from numpy.polynomial.legendre import leggauss
 from .polybasis import (
     BoubakerBasis,
     build_M_int,
-    eval_basis,
+    eval_basis,  # unused here, but perfbench's tracer patches this binding
+    eval_series,
     legendre_shifted_int,
     legendre_to_boubaker_int,
 )
@@ -55,40 +57,16 @@ class EvaluationError(Exception):
         super().__init__(f"non-finite sample f({x!r}) = {value!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights on [0, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def integrate(self, f) -> float:
-        vals = _sample(f, self.nodes)
-        return float(self.weights @ vals)
-
-
 @lru_cache(maxsize=64)
 def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule on [0, 1], read-only since
-    every caller shares the cached arrays."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
+    exact for polynomials of degree <= 2n-1; read-only since every caller
+    shares the cached arrays."""
     x, w = leggauss(n)
     nodes, weights = (x + 1.0) / 2.0, w / 2.0
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule mapped to [0, 1]; exact for polynomials
-    of degree <= 2n-1."""
-    if not 1 <= n <= 256:
-        raise ValueError(f"point count must lie in [1, 256], got {n}")
-    nodes, weights = _gl01(n)
-    return QuadratureRule(nodes=nodes.copy(), weights=weights.copy())
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:
@@ -182,10 +160,7 @@ def project(f, basis: BoubakerBasis, singular_at_zero: bool = False) -> np.ndarr
         vals = [float(v) for v in _sample(f, np.array(nodes))]
         C_hat = _interpolate_exact(vals, N)
         check, _ = _gl01(N + 2)
-        resid = max(
-            abs(v - float(C_hat @ bx))
-            for bx, v in zip(eval_basis(check, basis), _sample(f, check))
-        )
+        resid = float(np.max(np.abs(_sample(f, check) - eval_series(C_hat, check, basis))))
         scale = max(1.0, max(abs(v) for v in vals))
         if resid <= _SPAN_DETECT_RTOL * scale:
             # f is (to rounding) already in the span: the interpolant IS the
@@ -196,21 +171,15 @@ def project(f, basis: BoubakerBasis, singular_at_zero: bool = False) -> np.ndarr
 
 def l2_error(f, C, basis: BoubakerBasis, singular_at_zero: bool = False) -> float:
     """sqrt of int_0^1 (f - C^T B)^2 dx by quadrature."""
-    C = np.asarray(C, dtype=float)
     total = 0.0
     for xs, ws in _quad_nodes(singular_at_zero):
-        fv = _sample(f, xs)
-        rv = fv - np.array([C @ bx for bx in eval_basis(xs, basis)])
+        rv = _sample(f, xs) - eval_series(C, xs, basis)
         total += float(ws @ (rv * rv))
     return math.sqrt(max(total, 0.0))
 
 
 def max_abs_error_on_grid(f, C, basis: BoubakerBasis, grid) -> list[tuple[float, float]]:
     """Pointwise |f(x) - C^T B(x)| over the given grid."""
-    C = np.asarray(C, dtype=float)
     grid = list(grid)
-    out = []
-    for x, bx in zip(grid, eval_basis(grid, basis)):
-        err = abs(float(f(x)) - float(C @ bx))
-        out.append((float(x), err))
-    return out
+    u = eval_series(C, grid, basis).tolist()
+    return [(float(x), abs(float(f(x)) - ux)) for x, ux in zip(grid, u)]

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import approx, expr, fraccalc, linalg, refdata
-from .polybasis import Polynomial, build_basis, eval_basis
+from .polybasis import Polynomial, build_basis, eval_basis, eval_series
 from .problems import (
     ProblemFileError,
     exp_square,
@@ -128,7 +128,6 @@ def cmd_solve(args, out) -> int:
         return EXIT_NUMERICAL
 
     os.makedirs(args.out, exist_ok=True)
-    basis = build_basis(spec.N)
 
     _write_csv(
         os.path.join(args.out, "coefficients.csv"),
@@ -138,8 +137,7 @@ def cmd_solve(args, out) -> int:
 
     grid = np.linspace(0.0, 1.0, 101)
     sol_rows = []
-    for x, bx in zip(grid, eval_basis(grid, basis)):
-        u = float(report.C @ bx)
+    for x, u in zip(grid, eval_series(report.C, grid, build_basis(spec.N)).tolist()):
         ex = None
         if spec.problem.exact is not None:
             try:
@@ -203,14 +201,12 @@ def _error_status(computed: float, reference: float) -> str:
 
 
 def _solve_errors(problem, N, grid):
-    report = solve(problem, N)
-    basis = build_basis(N)
-    errs = []
-    for x, bx in zip(grid, eval_basis(grid, basis)):
-        u = float(report.C @ bx)
-        ex = expr.evaluate(problem.exact, {"x": x})
-        errs.append(abs(u - ex))
-    return report, errs
+    """|u_N - exact| of solve(problem, N) at each grid point."""
+    rows = approx.max_abs_error_on_grid(
+        lambda x: expr.evaluate(problem.exact, {"x": x}),
+        solve(problem, N).C, build_basis(N), grid,
+    )
+    return [err for _, err in rows]
 
 
 def _reproduce_error_table(name, cases, grid, reference, out_dir, out):
@@ -219,7 +215,7 @@ def _reproduce_error_table(name, cases, grid, reference, out_dir, out):
     raw_rows = []
     statuses = []
     for label, problem, N in cases:
-        _, errs = _solve_errors(problem, N, grid)
+        errs = _solve_errors(problem, N, grid)
         ref_row = reference[label]
         for x, e, r in zip(grid, errs, ref_row):
             status = _error_status(e, r)
@@ -301,7 +297,7 @@ def _reproduce_table3(out_dir, out):
         else:
             raw = []
             for label, problem, n in cases:
-                _, errs = _solve_errors(problem, n, grid)
+                errs = _solve_errors(problem, n, grid)
                 raw.extend([str(label), _f17(x), _f17(e)]
                            for x, e in zip(grid, errs))
             _write_csv(os.path.join(out_dir, f"{tag}.csv"),
@@ -314,9 +310,7 @@ def _reproduce_fig3(out_dir, out):
     grid = np.linspace(0.0, 1.0, 101)
     solved = {}
     for N in (4, 6):
-        report = solve(problem, N)
-        basis = build_basis(N)
-        solved[N] = [float(report.C @ bx) for bx in eval_basis(grid, basis)]
+        solved[N] = eval_series(solve(problem, N).C, grid, build_basis(N)).tolist()
     rows = []
     max_err = {4: 0.0, 6: 0.0}
     for i, x in enumerate(grid):

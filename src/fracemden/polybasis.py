@@ -167,10 +167,6 @@ class BoubakerBasis:
     def __post_init__(self):
         self.M.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.N + 1
-
 
 def build_basis(N: int, force: bool = False) -> BoubakerBasis:
     """Construct the basis B_0..B_N.
@@ -213,11 +209,17 @@ def eval_basis(x, basis: BoubakerBasis) -> np.ndarray:
     return acc
 
 
-def eval_series(C, x: float, basis: BoubakerBasis) -> float:
-    """Evaluate the series sum_n C[n] * B_n(x)."""
+def eval_series(C, x, basis: BoubakerBasis):
+    """Evaluate the series sum_n C[n] * B_n(x): a float for a scalar x; for
+    a 1-D array of points, the array of those floats, each the same dot
+    product C . B(x_k) as the scalar call, bit for bit (B(x) @ C would
+    not be: BLAS may sum a matrix-vector product in another order)."""
     C = np.asarray(C, dtype=float)
     if C.shape != (basis.N + 1,):
         raise ValueError(
             f"coefficient vector has shape {C.shape}, expected ({basis.N + 1},)"
         )
-    return float(C @ eval_basis(x, basis))
+    B = eval_basis(x, basis)
+    if B.ndim == 1:
+        return float(C @ B)
+    return np.array([C @ row for row in B])

@@ -19,12 +19,17 @@ J = A + diag(s * g'(Phi C)) Phi; g' comes from forward-mode
 differentiation of the g expression (expr.evaluate_with_derivative).
 
 What does not depend on the problem is built once per key and cached:
-per degree bound N the basis, the collocation points, Phi, B(0), the
-basis at the error-table points and the Gram condition estimate; per
-(alpha, N) the operational matrices of orders alpha and 2 alpha and the
-affine pieces Phi D_2alpha^T, Phi D_alpha^T and D_alpha B(0).  Every
-cached array is read-only.  A solve then applies only what belongs to its
-problem: the damping lambda / x^alpha, s and h.
+per degree bound N one record of the basis, the collocation points, Phi,
+B(0), the basis at the error-table points and the Gram condition
+estimate, which assemble_residual reads too; per (alpha, N) the
+operational matrices of orders alpha and 2 alpha and the affine pieces
+Phi D_2alpha^T, Phi D_alpha^T and D_alpha B(0).  Every cached array is
+read-only.  A solve then applies only what belongs to its problem: the
+damping lambda / x^alpha, s and h.
+
+lambda, a, b and tol must be finite, and a start point whose residual is
+not finite raises SolverError naming the point: Newton's stop test cannot
+see a NaN.
 """
 
 from __future__ import annotations
@@ -97,6 +102,9 @@ class EmdenFowlerProblem:
     def __post_init__(self):
         if not 0.5 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (1/2, 1], got {self.alpha}")
+        for name, v in (("lambda", self.lam), ("a", self.a), ("b", self.b)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
 
@@ -156,20 +164,14 @@ def _eval_at(
         ) from err
 
 
-class _Grid(NamedTuple):
-    """What the collocated system takes from the degree bound N alone."""
+class _Degree(NamedTuple):
+    """What a solve takes from the degree bound N alone."""
 
     basis: BoubakerBasis
     pts: tuple[float, ...]  # interior collocation points, descending
     x: np.ndarray  # the same points as an array
     Phi: np.ndarray  # row k is B(x_k)
     B0: np.ndarray  # B(0)
-
-
-class _Degree(NamedTuple):
-    """A solve's cached share of the degree bound N."""
-
-    grid: _Grid
     cond_Q: float  # condition estimate of the Gram matrix
     table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
 
@@ -193,19 +195,12 @@ class _System(NamedTuple):
     rhs: np.ndarray  # [h(x_k); a; b]
 
 
-def _grid(basis: BoubakerBasis) -> _Grid:
-    pts = tuple(collocation_points(basis.N))
-    return _Grid(
-        basis, pts, np.array(pts), eval_basis(pts, basis), eval_basis(0.0, basis)
-    )
-
-
 def _operators(
-    grid: _Grid, D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix
+    degree: _Degree, D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix
 ) -> _Operators:
     return _Operators(
-        D_alpha, D_2alpha, grid.Phi @ D_2alpha.D.T, grid.Phi @ D_alpha.D.T,
-        D_alpha.D @ grid.B0,
+        D_alpha, D_2alpha, degree.Phi @ D_2alpha.D.T, degree.Phi @ D_alpha.D.T,
+        D_alpha.D @ degree.B0,
     )
 
 
@@ -219,32 +214,35 @@ def _cached_degree(N: int) -> _Degree:
     """The read-only grid and error-table rows of degree N, with the Gram
     condition estimate."""
     basis = build_basis(N)
-    grid = _grid(basis)
-    table_rows = eval_basis(_TABLE_XS, basis)
-    _read_only(grid.x, grid.Phi, grid.B0, table_rows)
-    cond_q = linalg.condition_estimate(linalg.gram(basis))
-    return _Degree(grid, cond_q, table_rows)
+    pts = tuple(collocation_points(N))
+    degree = _Degree(
+        basis, pts, np.array(pts), eval_basis(pts, basis), eval_basis(0.0, basis),
+        linalg.condition_estimate(linalg.gram(basis)),
+        eval_basis(_TABLE_XS, basis),
+    )
+    _read_only(degree.x, degree.Phi, degree.B0, degree.table_rows)
+    return degree
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def _cached_operators(alpha: float, N: int) -> _Operators:
     """The read-only operators of order alpha on the degree-N grid."""
-    grid = _cached_degree(N).grid
+    degree = _cached_degree(N)
     ops = _operators(
-        grid,
-        fraccalc.build_D(alpha, grid.basis),
-        fraccalc.build_D(2.0 * alpha, grid.basis),
+        degree,
+        fraccalc.build_D(alpha, degree.basis),
+        fraccalc.build_D(2.0 * alpha, degree.basis),
     )
     _read_only(ops.P2, ops.P1, ops.ic)
     return ops
 
 
-def _assemble(problem: EmdenFowlerProblem, grid: _Grid, ops: _Operators) -> _System:
-    damping = problem.lam / grid.x ** problem.alpha
-    A = np.vstack([ops.P2 + damping[:, None] * ops.P1, grid.B0, ops.ic])
-    s = np.array([_eval_at(problem.s, "x", x, "s(x)") for x in grid.pts])
-    h = np.array([_eval_at(problem.h, "x", x, "h(x)") for x in grid.pts])
-    return _System(A, grid.Phi, s, np.concatenate([h, [problem.a, problem.b]]))
+def _assemble(problem: EmdenFowlerProblem, degree: _Degree, ops: _Operators) -> _System:
+    damping = problem.lam / degree.x ** problem.alpha
+    A = np.vstack([ops.P2 + damping[:, None] * ops.P1, degree.B0, ops.ic])
+    s = np.array([_eval_at(problem.s, "x", x, "s(x)") for x in degree.pts])
+    h = np.array([_eval_at(problem.h, "x", x, "h(x)") for x in degree.pts])
+    return _System(A, degree.Phi, s, np.concatenate([h, [problem.a, problem.b]]))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
@@ -285,10 +283,11 @@ def assemble_residual(
 
     Entries 0..N-2 are the collocation residuals (left side minus h) at the
     interior points in descending order; entry N-1 is u(0) - a and entry N
-    is D^(alpha) u(0) - b.
+    is D^(alpha) u(0) - b.  The grid is solve's cached one for basis.N, so
+    a basis above DEGREE_CAP is refused here too.
     """
-    grid = _grid(basis)
-    system = _assemble(problem, grid, _operators(grid, D_alpha, D_2alpha))
+    degree = _cached_degree(basis.N)
+    system = _assemble(problem, degree, _operators(degree, D_alpha, D_2alpha))
     return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
@@ -319,13 +318,23 @@ def solve(
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     degree = _cached_degree(N)
-    system = _assemble(problem, degree.grid, _cached_operators(problem.alpha, N))
+    system = _assemble(problem, degree, _cached_operators(problem.alpha, N))
 
     C = np.zeros(N + 1)
     C[0] = problem.a
     r, sg = _residual(problem, system, C)
     rnorm = float(np.max(np.abs(r)))
+    if not math.isfinite(rnorm):
+        # the initial-condition rows come to a - a and -b: k is a collocation row
+        k = int(np.flatnonzero(~np.isfinite(r))[0])
+        raise SolverError(
+            f"residual {r[k]} at the start point u = a, at collocation point "
+            f"x = {degree.pts[k]!r}: its terms are A C = {(system.A @ C)[k]}, "
+            f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
+        )
     iters = 0
     while rnorm > _stop_level(system, sg, C, tol):
         if iters >= max_iters:
@@ -369,7 +378,7 @@ def solve(
 
     return SolveReport(
         C=C,
-        points=degree.grid.pts,
+        points=degree.pts,
         newton_iters=iters,
         residual_inf=rnorm,
         cond_Q=cond_q,

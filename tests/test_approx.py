@@ -6,7 +6,6 @@ import pytest
 from fracemden import approx
 from fracemden.approx import (
     EvaluationError,
-    gauss_legendre,
     integrate_01,
     l2_error,
     max_abs_error_on_grid,
@@ -15,37 +14,34 @@ from fracemden.approx import (
 from fracemden.polybasis import build_basis, eval_series
 
 
+def _gl_integrate(n, f):
+    nodes, weights = approx._gl01(n)
+    return float(weights @ np.array([f(float(x)) for x in nodes]))
+
+
 class TestGaussLegendre:
     def test_midpoint(self):
-        rule = gauss_legendre(1)
-        np.testing.assert_allclose(rule.nodes, [0.5])
-        np.testing.assert_allclose(rule.weights, [1.0])
+        nodes, weights = approx._gl01(1)
+        np.testing.assert_allclose(nodes, [0.5])
+        np.testing.assert_allclose(weights, [1.0])
 
     def test_cubic_exact_with_two_points(self):
-        rule = gauss_legendre(2)
-        assert rule.integrate(lambda x: x ** 3) == pytest.approx(0.25, rel=0, abs=1e-14)
+        assert _gl_integrate(2, lambda x: x ** 3) == pytest.approx(0.25, rel=0, abs=1e-14)
 
     def test_fractional_power(self):
-        rule = gauss_legendre(16)
         # plain Gauss points converge only algebraically on the singular-derivative
         # integrand: 7.0e-5 at 16 points (the graded rule below reaches 1e-12)
-        assert rule.integrate(lambda x: x ** 0.3) == pytest.approx(1 / 1.3, rel=0, abs=1e-4)
+        assert _gl_integrate(16, lambda x: x ** 0.3) == pytest.approx(1 / 1.3, rel=0, abs=1e-4)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_weights_sum_to_one(self, n):
-        assert gauss_legendre(n).weights.sum() == pytest.approx(1.0, rel=0, abs=1e-13)
+        assert approx._gl01(n)[1].sum() == pytest.approx(1.0, rel=0, abs=1e-13)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_exactness_degree(self, n):
-        rule = gauss_legendre(n)
         for k in range(2 * n):
-            got = rule.integrate(lambda x: x ** k)
+            got = _gl_integrate(n, lambda x: x ** k)
             assert got == pytest.approx(1.0 / (k + 1), rel=0, abs=1e-13)
-
-    @pytest.mark.parametrize("n", [0, -3, 257])
-    def test_bounds(self, n):
-        with pytest.raises(ValueError):
-            gauss_legendre(n)
 
     def test_cached_rule_is_read_only(self):
         # _quad_nodes hands the cached arrays of _gl01 to every caller, so a
@@ -56,8 +52,6 @@ class TestGaussLegendre:
         for a in (nodes, weights):
             with pytest.raises(ValueError):
                 a[0] = a[0]  # the same value: a failing check corrupts nothing
-        rule = gauss_legendre(8)
-        assert rule.nodes is not approx._gl01(8)[0]
 
 
 class TestIntegrate01:

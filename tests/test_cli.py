@@ -162,6 +162,25 @@ class TestSolveCommand:
         assert code == 1
         assert "residual" in capsys.readouterr().err
 
+    # Newton's stop test is false for NaN, so unchecked, each of these would
+    # print "solved" after 0 Newton iterations and exit 0
+    @pytest.mark.parametrize("line,code,cause", [
+        ("lambda = nan", 2, "lambda must be finite, got nan"),
+        ('h = "1e308*10 - 1e308*10"', 1, "residual nan at the start point"),
+        ("tol = nan", 2, "tol must be finite, got nan"),
+    ], ids=["lambda", "h", "tol"])
+    def test_non_finite_input_fails_naming_its_cause(self, tmp_path, capsys, line, code, cause):
+        fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
+                  "a": "1", "b": "0", "N": "4"}
+        key, _, value = line.partition(" = ")
+        fields[key] = value
+        bad = tmp_path / "bad.prob"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        got, out = run("solve", str(bad), "--out", str(tmp_path / "o"))
+        assert got == code
+        assert cause in capsys.readouterr().err
+        assert "solved" not in out
+
     def test_nonlinear_problem_file(self, tmp_path):
         prob = os.path.join(PROBLEMS_DIR, "lane_emden_n5.prob")
         code, out = run("solve", prob, "--out", str(tmp_path / "o"))

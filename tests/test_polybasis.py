@@ -218,6 +218,24 @@ class TestEvalSeries:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             eval_series([1.0, 2.0], 0.5, build_basis(3))
+        with pytest.raises(ValueError, match="shape"):
+            eval_series([1.0, 2.0], np.linspace(0.0, 1.0, 5), build_basis(3))
+
+    @pytest.mark.parametrize("N", range(16))
+    def test_grid_equals_scalar_calls(self, N):
+        basis = build_basis(N)
+        rng = np.random.default_rng(N)
+        # coefficients spanning many magnitudes, as solves at high N produce,
+        # so that a different summation order would change the last bits
+        C = rng.normal(size=N + 1) * 10.0 ** rng.uniform(-3, 8, size=N + 1)
+        lobatto = (np.cos(np.arange(N + 1) * math.pi / max(N, 1)) + 1.0) / 2.0
+        for xs in (lobatto, np.linspace(0.0, 1.0, 101), np.array([0.37])):
+            want = np.array([eval_series(C, float(x), basis) for x in xs])
+            got = eval_series(C, xs, basis)
+            assert got.shape == (len(xs),)
+            assert np.array_equal(got, want)
+        assert eval_series(C, np.array([]), basis).shape == (0,)
+        assert isinstance(eval_series(C, 0.37, basis), float)
 
     @pytest.mark.parametrize("n", range(9))
     def test_unit_vector_matches_polynomial(self, n):

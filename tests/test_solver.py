@@ -7,6 +7,7 @@ from fracemden.problems import lane_emden, mixed_power, shifted_power
 from fracemden.solver import (
     EmdenFowlerProblem,
     NonConvergenceError,
+    SolverError,
     assemble_residual,
     collocation_points,
     residual_certificate,
@@ -174,6 +175,32 @@ class TestSolve:
             solve(lane_emden(1), 1)
 
 
+def _with(problem, **changes):
+    fields = {k: getattr(problem, k) for k in ("alpha", "lam", "s", "g", "h", "a", "b")}
+    return EmdenFowlerProblem(**{**fields, **changes})
+
+
+class TestNonFiniteInput:
+    # Newton's stop test `rnorm > stop` is false for NaN, so any of these
+    # would otherwise be reported as solved without a single step
+    @pytest.mark.parametrize("field,name", [("lam", "lambda"), ("a", "a"), ("b", "b")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_problem_rejects_non_finite_data(self, field, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            _with(lane_emden(1), **{field: value})
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_solve_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve(lane_emden(1), 4, tol=tol)
+
+    def test_non_finite_start_residual_names_the_point(self):
+        problem = _with(lane_emden(1), h=expr.parse("1e308*10 - 1e308*10", {"x"}))
+        x0 = collocation_points(4)[0]
+        with pytest.raises(SolverError, match=f"residual nan .* x = {x0!r}: .* h\\(x\\) = nan"):
+            solve(problem, 4)
+
+
 class TestExactNewton:
     @pytest.mark.parametrize(
         "problem,N",
@@ -266,7 +293,7 @@ class TestOperatorCache:
         solve(problem, 6)
         degree = solver._cached_degree(6)
         ops = solver._cached_operators(problem.alpha, 6)
-        arrays = (degree.grid.x, degree.grid.Phi, degree.grid.B0, degree.table_rows,
+        arrays = (degree.x, degree.Phi, degree.B0, degree.table_rows,
                   ops.D_alpha.D, ops.D_2alpha.D, ops.P2, ops.P1, ops.ic)
         for a in arrays:
             with pytest.raises(ValueError):
@@ -305,6 +332,22 @@ class TestOperatorCache:
         after = solve(problem, N)
         assert np.array_equal(after.C, before.C)
         assert after.residual_inf == before.residual_inf
+
+    def test_assemble_residual_warm_equals_cold(self):
+        problem, N = _cubic(), 6
+        basis, D1, D2 = _matrices(problem, N)
+        C = solve(problem, N).C
+        _clear_caches()
+        cold = assemble_residual(problem, basis, D1, D2, C)
+        warm = assemble_residual(problem, basis, D1, D2, C)
+        assert np.array_equal(cold, warm)
+
+    def test_assemble_residual_refuses_a_forced_basis_above_the_cap(self):
+        problem = lane_emden(1)
+        basis = build_basis(16, force=True)
+        D = fraccalc.build_D(1.0, basis)
+        with pytest.raises(ValueError, match="cap"):
+            assemble_residual(problem, basis, D, fraccalc.build_D(2.0, basis), np.zeros(17))
 
 
 # lane_emden(n, alpha) over the supported domain; every cell converges
