@@ -23,8 +23,6 @@ from .fraccalc import (
     build_Z,
     caputo_monomial,
     caputo_polynomial,
-    gamma_fn,
-    xbar_exponents,
 )
 from .linalg import (
     SingularMatrixError,
@@ -83,7 +81,6 @@ __all__ = [
     "condition_estimate",
     "eval_basis",
     "eval_series",
-    "gamma_fn",
     "gram",
     "hilbert",
     "l2_error",
@@ -92,6 +89,5 @@ __all__ = [
     "project",
     "residual_certificate",
     "solve",
-    "xbar_exponents",
     "__version__",
 ]

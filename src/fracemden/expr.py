@@ -13,16 +13,16 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
 so '^' binds tighter than unary minus: -x^2 parses as -(x^2), and
 2^-3 is allowed.  Known functions: sin cos exp ln sqrt abs gamma pow
-(pow takes two arguments, the rest one).  Variable names are fixed at
-parse time; anything else is an immediate error.
+(pow takes two arguments, the rest one).  gamma is math.gamma; its
+derivative uses the local _digamma, since the standard library has no
+digamma.  Variable names are fixed at parse time; anything else is an
+immediate error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .fraccalc import gamma_fn
 
 
 class ParseError(Exception):
@@ -242,7 +242,7 @@ def _apply_fn(call: Call, args: list[float]) -> float:
         if fn == "gamma":
             if args[0] <= 0:
                 raise EvalError(f"gamma of non-positive value {args[0]!r}", call)
-            return gamma_fn(args[0])
+            return math.gamma(args[0])
         if fn == "pow":
             return _power(args[0], args[1], call)
     except OverflowError:

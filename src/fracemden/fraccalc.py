@@ -22,8 +22,10 @@ system is formed or solved.  alpha enters as its exact binary rational p/q,
 all moments of a row share one integer denominator, and each entry is a
 single correctly rounded integer quotient -- the same float as the exact
 rational solution of the normal equations.  Only the Gamma-factor scaling
-is floating point.  For integer alpha every x^(i-alpha) lies in the basis
-span and the resulting matrix is exactly integer.
+is floating point; Gamma is the standard library's math.gamma, which is
+within a few ulp and returns the exact factorials through 22!.  For integer
+alpha every x^(i-alpha) lies in the basis span, every Gamma ratio is a
+quotient of exact factorials, and the resulting matrix is exactly integer.
 """
 
 from __future__ import annotations
@@ -37,43 +39,6 @@ import numpy as np
 from .polybasis import BoubakerBasis, Polynomial, legendre_to_boubaker_int
 
 MAX_ORDER = 2.0
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error on (0, 50]
-# measured below 3e-14 against a high-precision reference.
-_LANCZOS_G = 7
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma(z) for z > 0 by the Lanczos approximation.
-
-    Integer arguments return the factorial exactly, so integer-order
-    derivative factors carry no rounding.  Arguments below 0.5 go through
-    the recurrence Gamma(z) = Gamma(z+1)/z, which keeps the approximation
-    inside its accurate region.
-    """
-    if not z > 0:
-        raise ValueError(f"gamma_fn requires z > 0, got {z}")
-    if float(z).is_integer() and z <= 171:
-        return float(math.factorial(int(z) - 1))
-    if z < 0.5:
-        return gamma_fn(z + 1.0) / z
-    z -= 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 @dataclass(frozen=True)
@@ -120,7 +85,8 @@ def caputo_monomial(beta: float, alpha: float) -> GeneralizedPolynomial:
 
     Integer beta below ceil(alpha) is annihilated (constants and the low
     powers absorbed by the initial conditions); otherwise the result is the
-    single term Gamma(beta+1)/Gamma(beta+1-alpha) * x^(beta-alpha).
+    single term Gamma(beta+1)/Gamma(beta+1-alpha) * x^(beta-alpha); both
+    arguments of math.gamma are then at least 1.
     """
     if beta < 0:
         raise ValueError(f"exponent must be >= 0, got {beta}")
@@ -135,7 +101,7 @@ def caputo_monomial(beta: float, alpha: float) -> GeneralizedPolynomial:
         raise ValueError(
             f"Caputo image of x^{beta} at order {alpha} has negative exponent"
         )
-    coef = gamma_fn(beta + 1.0) / gamma_fn(beta + 1.0 - alpha)
+    coef = math.gamma(beta + 1.0) / math.gamma(beta + 1.0 - alpha)
     return GeneralizedPolynomial(((coef, beta - alpha),))
 
 
@@ -170,20 +136,16 @@ def _check_order(alpha: float, N: int) -> int:
 
 def build_Z(alpha: float, N: int) -> np.ndarray:
     """Diagonal Gamma-ratio factors: entry (j, j) = Gamma(j+1)/Gamma(j+1-alpha)
-    for j = ceil(alpha)..N, zero otherwise."""
+    for j = ceil(alpha)..N, zero otherwise.
+
+    Both Gammas are math.gamma at arguments >= 1.  For integer alpha they
+    are exact factorials, so the entries are exact integers.
+    """
     ca = _check_order(alpha, N)
     Z = np.zeros((N + 1, N + 1))
     for j in range(ca, N + 1):
-        Z[j, j] = gamma_fn(j + 1.0) / gamma_fn(j + 1.0 - alpha)
+        Z[j, j] = math.gamma(j + 1.0) / math.gamma(j + 1.0 - alpha)
     return Z
-
-
-def xbar_exponents(alpha: float, N: int) -> list[tuple[int, float]]:
-    """The surviving monomial images: pairs (i, i - alpha) for
-    i = ceil(alpha)..N.  Indices below ceil(alpha) map to the zero function
-    and are omitted."""
-    ca = _check_order(alpha, N)
-    return [(i, i - alpha) for i in range(ca, N + 1)]
 
 
 def build_E(alpha: float, basis: BoubakerBasis) -> np.ndarray:

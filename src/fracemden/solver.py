@@ -29,7 +29,8 @@ damping lambda / x^alpha, s and h.
 
 lambda, a, b and tol must be finite, and a start point whose residual is
 not finite raises SolverError naming the point: Newton's stop test cannot
-see a NaN.
+see a NaN.  A stop level that overflows (a = 1e308, say) raises SolverError
+naming the row whose scale overflowed, since it would accept any residual.
 """
 
 from __future__ import annotations
@@ -265,11 +266,31 @@ def _jacobian(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
     return J
 
 
-def _stop_level(system: _System, sg: np.ndarray, C: np.ndarray, tol: float) -> float:
-    """max(tol, the rounding floor of evaluating r at C)."""
-    scale = np.abs(system.A) @ np.abs(C) + np.abs(system.rhs)
-    scale[: sg.size] += np.abs(sg)
-    return max(tol, ROUNDING_FLOOR_FACTOR * _EPS * float(np.max(scale)))
+def _stop_level(
+    system: _System, sg: np.ndarray, C: np.ndarray, tol: float, pts: tuple[float, ...]
+) -> float:
+    """max(tol, the rounding floor of evaluating r at C).
+
+    A floor that overflows would accept any residual, so it raises
+    SolverError naming the row and the terms of its scale.
+    """
+    with np.errstate(over="ignore"):
+        AC = np.abs(system.A) @ np.abs(C)
+        scale = AC + np.abs(system.rhs)
+        scale[: sg.size] += np.abs(sg)
+    top = float(np.max(scale))
+    if not math.isfinite(top):
+        k = int(np.flatnonzero(~np.isfinite(scale))[0])
+        n = len(pts)
+        row = f"collocation point x = {pts[k]!r}" if k < n else (
+            ("initial condition u(0) = a", "initial condition D^(alpha) u(0) = b")[k - n]
+        )
+        sg_k = abs(sg[k]) if k < n else 0.0
+        raise SolverError(
+            f"stop level overflows: the residual scale |A||C| + |s g(Phi C)| + |rhs| "
+            f"at the {row} is {AC[k]} + {sg_k} + {abs(system.rhs[k])}"
+        )
+    return max(tol, ROUNDING_FLOOR_FACTOR * _EPS * top)
 
 
 def assemble_residual(
@@ -336,7 +357,7 @@ def solve(
             f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
         )
     iters = 0
-    while rnorm > _stop_level(system, sg, C, tol):
+    while rnorm > _stop_level(system, sg, C, tol, degree.pts):
         if iters >= max_iters:
             raise NonConvergenceError(rnorm, iters)
         J = _jacobian(problem, system, C)

@@ -162,13 +162,15 @@ class TestSolveCommand:
         assert code == 1
         assert "residual" in capsys.readouterr().err
 
-    # Newton's stop test is false for NaN, so unchecked, each of these would
-    # print "solved" after 0 Newton iterations and exit 0
+    # Newton's stop test is false for a NaN residual and true under an
+    # infinite stop level, so unchecked, each of these would print "solved"
+    # after 0 Newton iterations and exit 0
     @pytest.mark.parametrize("line,code,cause", [
         ("lambda = nan", 2, "lambda must be finite, got nan"),
         ('h = "1e308*10 - 1e308*10"', 1, "residual nan at the start point"),
         ("tol = nan", 2, "tol must be finite, got nan"),
-    ], ids=["lambda", "h", "tol"])
+        ("a = 1e308", 1, "stop level overflows"),
+    ], ids=["lambda", "h", "tol", "overflow"])
     def test_non_finite_input_fails_naming_its_cause(self, tmp_path, capsys, line, code, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "4"}

@@ -108,6 +108,12 @@ class TestEvaluation:
     def test_gamma(self):
         assert ev("gamma(1+2*a)", {"a"}, a=1.0) == pytest.approx(2.0, rel=1e-14)
 
+    def test_gamma_large_argument(self):
+        # finite up to about 171.6, then an overflow that names itself
+        assert evaluate(parse("gamma(150.5)", set()), {}) == math.gamma(150.5)
+        with pytest.raises(EvalError, match="overflow"):
+            evaluate(parse("gamma(172)", set()), {})
+
     def test_quintic(self):
         assert ev("u^5", U, u=2.0) == 32.0
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracemden import linalg
+from fracemden.expr import EvalError, evaluate, parse
 from fracemden.fraccalc import (
     GeneralizedPolynomial,
     build_D,
@@ -14,8 +15,6 @@ from fracemden.fraccalc import (
     build_Z,
     caputo_monomial,
     caputo_polynomial,
-    gamma_fn,
-    xbar_exponents,
 )
 from fracemden.polybasis import (
     boubaker_coefficient,
@@ -25,44 +24,58 @@ from fracemden.polybasis import (
 )
 
 # high-precision reference values (mpmath, 30 digits)
-GAMMA_2_3 = 1.16671190519816035
 TWO_OVER_GAMMA_2_3 = 1.71421924391892592
-SQRT_PI = 1.77245385090551603
 TWO_OVER_SQRT_PI = 1.12837916709551257
-INV_GAMMA_1_3 = 1.11424250854730185
 
 
 class TestGamma:
+    """Gamma as the operators consume it: math.gamma inside the Caputo
+    factors of build_Z and caputo_monomial, judged against mpmath."""
+
     def test_one(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
+        # D^alpha x^alpha = Gamma(alpha+1)/Gamma(1): Gamma(1) divides out exactly
+        for alpha in (0.5, 0.7, 1.5, 2.0):
+            assert caputo_monomial(alpha, alpha).terms == ((math.gamma(alpha + 1.0), 0.0),)
 
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(SQRT_PI, rel=1e-13)
+        assert build_Z(0.5, 1)[1, 1] == pytest.approx(TWO_OVER_SQRT_PI, rel=4.5e-16)
 
     def test_2_3(self):
-        assert gamma_fn(2.3) == pytest.approx(GAMMA_2_3, rel=1e-12)
+        coef = caputo_monomial(2.0, 0.7).terms[0][0]
+        assert coef == pytest.approx(TWO_OVER_GAMMA_2_3, rel=4.5e-16)
 
     def test_integers_factorial(self):
-        for n in range(1, 20):
-            assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-12)
+        # integer orders divide exact factorials: the factors are exact integers
+        j = np.arange(16.0)
+        assert np.array_equal(np.diag(build_Z(1.0, 15)), j)
+        assert np.array_equal(np.diag(build_Z(2.0, 15)), j * np.maximum(j - 1.0, 0.0))
+        for n in range(2, 23):
+            assert caputo_monomial(float(n), 2.0).terms == ((float(n * (n - 1)), n - 2.0),)
 
     def test_against_reference_on_range(self):
-        # 1000 points across (0, 50]; math.gamma is the independent oracle
-        rng = np.random.default_rng(3)
-        zs = np.concatenate(
-            [
-                rng.uniform(1e-6, 0.5, 200),
-                rng.uniform(0.5, 5.0, 300),
-                rng.uniform(5.0, 50.0, 500),
-            ]
-        )
-        for z in zs:
-            assert gamma_fn(float(z)) == pytest.approx(math.gamma(z), rel=1e-12)
+        # every Caputo factor the supported orders use up to the degree cap
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(30):
+            for alpha in (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0, 1.3, 1.5, 1.75):
+                Z = build_Z(alpha, 15)
+                for j in range(math.ceil(alpha), 16):
+                    ref = mp.gamma(j + 1) / mp.gamma(j + 1 - mp.mpf(alpha))
+                    worst = max(worst, float(abs((Z[j, j] - ref) / ref)))
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("N", range(2, 16))
+    def test_integer_order_matrix_is_integer(self, alpha, N):
+        D = build_D(alpha, build_basis(N)).D
+        assert np.array_equal(D, np.round(D))
 
     @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
     def test_domain_error(self, z):
-        with pytest.raises(ValueError):
-            gamma_fn(z)
+        # math.gamma(-0.5) is finite, so the expression layer's own guard is
+        # what keeps Gamma off non-positive arguments in a problem file
+        with pytest.raises(EvalError, match="gamma of non-positive value"):
+            evaluate(parse(f"gamma({z})", set()), {})
 
 
 class TestGeneralizedPolynomial:
@@ -167,21 +180,6 @@ class TestBuildZ:
     def test_order_exceeds_degree(self):
         with pytest.raises(ValueError):
             build_Z(1.5, 1)
-
-
-class TestXbarExponents:
-    def test_alpha1(self):
-        assert xbar_exponents(1.0, 3) == [(1, 0.0), (2, 1.0), (3, 2.0)]
-
-    def test_alpha_07(self):
-        got = xbar_exponents(0.7, 2)
-        assert [i for i, _ in got] == [1, 2]
-        np.testing.assert_allclose([e for _, e in got], [0.3, 1.3], rtol=0, atol=1e-15)
-
-    def test_alpha_14(self):
-        got = xbar_exponents(1.4, 4)
-        assert [i for i, _ in got] == [2, 3, 4]
-        np.testing.assert_allclose([e for _, e in got], [0.6, 1.6, 2.6], rtol=0, atol=1e-14)
 
 
 def _gram_oracle_E(alpha, N):

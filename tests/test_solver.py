@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,17 @@ class TestNonFiniteInput:
         x0 = collocation_points(4)[0]
         with pytest.raises(SolverError, match=f"residual nan .* x = {x0!r}: .* h\\(x\\) = nan"):
             solve(problem, 4)
+
+    def test_overflowing_stop_level_names_its_scale(self):
+        # |A||C| + |rhs| of the row u(0) = a is 2e308: an infinite stop level
+        # would accept the start point's residual of 1e308 as converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SolverError,
+                match=r"stop level overflows: .* initial condition u\(0\) = a is 1e\+308 \+ 0.0 \+ 1e\+308",
+            ):
+                solve(_with(lane_emden(1), a=1e308), 4)
 
 
 class TestExactNewton:
