@@ -19,13 +19,14 @@ Legendre coefficients (Saadatmandi & Dehghan, Comput. Math. Appl. 59 (2010)
 
 and a fixed integer matrix maps them to basis coefficients, so no Gram
 system is formed or solved.  alpha enters as its exact binary rational p/q,
-all moments of a row share one integer denominator, and each entry is a
-single correctly rounded integer quotient -- the same float as the exact
-rational solution of the normal equations.  Only the Gamma-factor scaling
-is floating point; Gamma is the standard library's math.gamma, which is
-within a few ulp and returns the exact factorials through 22!.  For integer
-alpha every x^(i-alpha) lies in the basis span, every Gamma ratio is a
-quotient of exact factorials, and the resulting matrix is exactly integer.
+all moments of a row share one integer denominator, and all rows are formed
+at once in integer arrays with one correctly rounded integer quotient per
+entry -- the same float as the exact rational solution of the normal
+equations.  Only the Gamma-factor scaling is floating point; Gamma is the
+standard library's math.gamma, which is within a few ulp and returns the
+exact factorials through 22!.  For integer alpha every x^(i-alpha) lies in
+the basis span, every Gamma ratio is a quotient of exact factorials, and the
+resulting matrix is exactly integer.
 """
 
 from __future__ import annotations
@@ -157,25 +158,22 @@ def build_E(alpha: float, basis: BoubakerBasis) -> np.ndarray:
     moments of row i are a_k = num_k / den with
     num_k = (2k+1) q prod_{j<k} (b - jq) prod_{k<j<=N} (b + (1+j)q) and
     den = prod_{j<=N} (b + (1+j)q) > 0, all integers.  The row is
-    T num / den for the integer Legendre-to-basis matrix T.
+    T num / den for the integer Legendre-to-basis matrix T.  All rows are
+    formed at once in whole-array integer arithmetic (object arrays of
+    Python ints), with one correctly rounded integer quotient per entry.
     """
     N = basis.N
     ca = _check_order(alpha, N)
     p, q = Fraction(alpha).as_integer_ratio()  # exact value of the float argument
-    T = legendre_to_boubaker_int(N)
+    j = np.arange(N + 1).astype(object)
+    b = np.arange(ca, N + 1).astype(object)[:, None] * q - p  # one row per i
+    one = np.ones_like(b)
+    # tail[:, k] = prod_{k<j<=N} (b + (1+j)q) and head[:, k] = q prod_{j<k} (b - jq)
+    tail = np.multiply.accumulate(np.hstack([one, b + (1 + j[:0:-1]) * q]), 1)[:, ::-1]
+    head = np.multiply.accumulate(np.hstack([q * one, b - j[:-1] * q]), 1)
+    num, den = (2 * j + 1) * head * tail, tail[:, :1] * (b + q)
     E = np.zeros((N + 1, N + 1))
-    for i in range(ca, N + 1):
-        b = i * q - p
-        tail = [1] * (N + 1)  # tail[k] = prod_{k<j<=N} (b + (1+j)q)
-        for k in range(N - 1, -1, -1):
-            tail[k] = tail[k + 1] * (b + (k + 2) * q)
-        den = tail[0] * (b + q)
-        num = []
-        head = q  # q prod_{j<k} (b - jq)
-        for k in range(N + 1):
-            num.append((2 * k + 1) * head * tail[k])
-            head *= b - k * q
-        E[i] = [sum(t * a for t, a in zip(row, num)) / den for row in T]
+    E[ca:] = (num @ legendre_to_boubaker_int(N).T) / den
     return E
 
 

@@ -126,13 +126,13 @@ def legendre_shifted_int(N: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=32)
-def legendre_to_boubaker_int(N: int) -> tuple[tuple[int, ...], ...]:
+def legendre_to_boubaker_int(N: int) -> np.ndarray:
     """Integer change of basis T = M^{-T} L^T from shifted Legendre to
     Boubaker coefficients: sum_k a_k P~_k = sum_n (T a)_n B_n.
 
     Column k holds the basis coordinates of P~_k, found by exact back
     substitution through M^T; they are integers because M is unit lower
-    triangular with integer entries.
+    triangular with integer entries: Python ints in a read-only object array.
     """
     L = legendre_shifted_int(N)
     Mint = build_M_int(N)
@@ -142,7 +142,9 @@ def legendre_to_boubaker_int(N: int) -> tuple[tuple[int, ...], ...]:
         for n in range(N, -1, -1):
             c[n] = L[k][n] - sum(Mint[i][n] * c[i] for i in range(n + 1, N + 1))
         cols.append(c)
-    return tuple(tuple(col[n] for col in cols) for n in range(N + 1))
+    T = np.array(cols, dtype=object).T
+    T.setflags(write=False)
+    return T
 
 
 def build_M(N: int) -> np.ndarray:

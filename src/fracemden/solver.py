@@ -30,7 +30,8 @@ damping lambda / x^alpha, s and h.
 lambda, a, b and tol must be finite, and a start point whose residual is
 not finite raises SolverError naming the point: Newton's stop test cannot
 see a NaN.  A stop level that overflows (a = 1e308, say) raises SolverError
-naming the row whose scale overflowed, since it would accept any residual.
+naming the row whose scale overflowed, since it would accept any residual,
+and so does a Newton step that is not finite (b = 1e308, say).
 """
 
 from __future__ import annotations
@@ -365,6 +366,13 @@ def solve(
             d = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as err:
             raise SingularJacobianError(iters) from err
+        if not all(map(math.isfinite, d.tolist())):
+            # refused before a residual at C + t d could warn of inf * 0
+            k = int(np.flatnonzero(~np.isfinite(d))[0])
+            raise SolverError(
+                f"Newton step not finite at iteration {iters}: "
+                f"J d = -r gives d[{k}] = {d[k]}"
+            )
         # damp by halving until the residual norm actually decreases
         t = 1.0
         for _ in range(30):

@@ -170,7 +170,8 @@ class TestSolveCommand:
         ('h = "1e308*10 - 1e308*10"', 1, "residual nan at the start point"),
         ("tol = nan", 2, "tol must be finite, got nan"),
         ("a = 1e308", 1, "stop level overflows"),
-    ], ids=["lambda", "h", "tol", "overflow"])
+        ("b = 1e308", 1, "Newton step not finite at iteration 0"),
+    ], ids=["lambda", "h", "tol", "overflow", "step"])
     def test_non_finite_input_fails_naming_its_cause(self, tmp_path, capsys, line, code, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "4"}

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from fracemden.polybasis import (
     boubaker_polynomial,
     build_basis,
     eval_basis,
+    legendre_to_boubaker_int,
 )
 
 # high-precision reference values (mpmath, 30 digits)
@@ -201,6 +203,33 @@ def _gram_oracle_E(alpha, N):
     return E
 
 
+def _per_row_E(alpha, N):
+    """The per-row loop that build_E's whole-array route replaced, kept as
+    its reference: the same integers, one row at a time."""
+    ca = math.ceil(alpha)
+    p, q = Fraction(alpha).as_integer_ratio()
+    T = legendre_to_boubaker_int(N)
+    E = np.zeros((N + 1, N + 1))
+    for i in range(ca, N + 1):
+        b = i * q - p
+        tail = [1] * (N + 1)  # tail[k] = prod_{k<j<=N} (b + (1+j)q)
+        for k in range(N - 1, -1, -1):
+            tail[k] = tail[k + 1] * (b + (k + 2) * q)
+        den = tail[0] * (b + q)
+        num = []
+        head = q  # q prod_{j<k} (b - jq)
+        for k in range(N + 1):
+            num.append((2 * k + 1) * head * tail[k])
+            head *= b - k * q
+        E[i] = [sum(t * a for t, a in zip(row, num)) / den for row in T]
+    return E
+
+
+def _sweep_alpha(k):
+    # the alpha-sweep benchmark's pool point k of 2000 over [0.7, 1.0)
+    return 0.7 + (1.0 - 0.7) * (k + 0.5) / 2000
+
+
 ORACLE_ALPHAS = (
     0.123456789, 0.55, 0.7, 0.7041709495205126, 0.75, 0.9,
     1.0, 1.1, 1.4, 1.5, 1.8, 2.0,
@@ -227,6 +256,42 @@ class TestBuildE:
     )
     def test_equals_gram_oracle_any_order(self, alpha, N):
         assert np.array_equal(build_E(alpha, build_basis(N)), _gram_oracle_E(alpha, N))
+
+    @pytest.mark.parametrize("N", range(2, 16))
+    def test_equals_per_row_loop(self, N):
+        # full-mantissa orders over (0, 2], alpha-sweep pool points and their
+        # doubles (the order-2 alpha operator of the same solve)
+        rng = random.Random(N)
+        sweep = [_sweep_alpha(k) for k in (0, 1, 733, 1000, 1999, rng.randrange(2000))]
+        alphas = [2.0 - rng.uniform(0.0, 2.0) for _ in range(12)] + sweep
+        alphas += [2.0 * a for a in sweep]
+        basis = build_basis(N)
+        for alpha in alphas:
+            assert np.array_equal(build_E(alpha, basis), _per_row_E(alpha, N)), alpha
+
+    @pytest.mark.parametrize("alpha, N", [
+        (2.0, 2),  # a single nonzero row
+        (math.nextafter(1.0, 2.0), 4),  # ceil(alpha) = 2 just above alpha = 1
+        (1.0, 5), (2.0, 15),  # integer alpha: b = 0 on the first row
+        (0.5, 15),  # the largest entries
+    ], ids=["single_row", "just_above_1", "alpha1", "alpha2", "largest"])
+    def test_edge_shapes_equal_per_row_loop(self, alpha, N):
+        E = build_E(alpha, build_basis(N))
+        assert E.shape == (N + 1, N + 1)
+        assert np.array_equal(E, _per_row_E(alpha, N))
+        assert not E[: math.ceil(alpha)].any()
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.4, 2.0])
+    def test_matrices_are_float64(self, alpha):
+        basis = build_basis(6)
+        assert build_E(alpha, basis).dtype == np.float64
+        assert build_D(alpha, basis).D.dtype == np.float64
+
+    def test_cached_change_of_basis_is_read_only(self):
+        T = legendre_to_boubaker_int(6)
+        assert T is legendre_to_boubaker_int(6)
+        with pytest.raises(ValueError, match="read-only"):
+            T[0, 0] = 2
 
     def test_operator_path_avoids_gram_solve(self, monkeypatch):
         def forbidden(*args, **kwargs):

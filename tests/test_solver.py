@@ -213,6 +213,18 @@ class TestNonFiniteInput:
             ):
                 solve(_with(lane_emden(1), a=1e308), 4)
 
+    @pytest.mark.parametrize("b", [1e307, 1e308])
+    def test_non_finite_newton_step_names_itself(self, b):
+        # the linear solve overflows into NaN: refused before the residual
+        # at the trial point is evaluated, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SolverError,
+                match=r"^Newton step not finite at iteration 0: J d = -r gives d\[0\] = nan$",
+            ):
+                solve(_with(lane_emden(1), b=b), 4)
+
 
 class TestExactNewton:
     @pytest.mark.parametrize(
