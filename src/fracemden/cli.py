@@ -137,11 +137,12 @@ def cmd_solve(args, out) -> int:
 
     grid = np.linspace(0.0, 1.0, 101)
     sol_rows = []
+    exact = spec.problem.compiled.exact
     for x, u in zip(grid, eval_series(report.C, grid, build_basis(spec.N)).tolist()):
         ex = None
-        if spec.problem.exact is not None:
+        if exact is not None:
             try:
-                ex = expr.evaluate(spec.problem.exact, {"x": float(x)})
+                ex = exact(float(x))
             except expr.EvalError:
                 ex = None  # removable singularity on the grid, e.g. sin(x)/x at 0
         if ex is None:
@@ -203,7 +204,7 @@ def _error_status(computed: float, reference: float) -> str:
 def _solve_errors(problem, N, grid):
     """|u_N - exact| of solve(problem, N) at each grid point."""
     rows = approx.max_abs_error_on_grid(
-        lambda x: expr.evaluate(problem.exact, {"x": x}),
+        problem.compiled.exact,
         solve(problem, N).C, build_basis(N), grid,
     )
     return [err for _, err in rows]

@@ -17,11 +17,19 @@ so '^' binds tighter than unary minus: -x^2 parses as -(x^2), and
 derivative uses the local _digamma, since the standard library has no
 digamma.  Variable names are fixed at parse time; anything else is an
 immediate error.
+
+compile_expression (the value) and compile_with_derivative (the value
+and its derivative) turn a tree once into nested closures of one variable.
+Subtrees free of it are evaluated then and folded into constants, unless
+they raise.  A call makes the same math.* calls and double operations, in
+the same order, as a walk of the tree, so values and errors are identical;
+evaluate and evaluate_with_derivative compile and call once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -220,7 +228,7 @@ def parse(src: str, variables: set[str]) -> Expression:
     return node
 
 
-def _apply_fn(call: Call, args: list[float]) -> float:
+def _apply_fn(call: Call, args: tuple[float, ...] | list[float]) -> float:
     fn = call.fn
     try:
         if fn == "sin":
@@ -265,39 +273,6 @@ def _power(base: float, exponent: float, node: Expression) -> float:
         raise EvalError("overflow", node) from None
 
 
-def evaluate(e: Expression, bindings: dict[str, float]) -> float:
-    """Evaluate with IEEE double arithmetic; raises EvalError on domain
-    problems (carrying the subexpression) or missing bindings."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise EvalError(f"no binding for variable '{e.name}'", e) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    if isinstance(e, BinOp):
-        lhs = evaluate(e.lhs, bindings)
-        rhs = evaluate(e.rhs, bindings)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            if rhs == 0.0:
-                raise EvalError("division by zero", e)
-            return lhs / rhs
-        if e.op == "^":
-            return _power(lhs, rhs, e)
-        raise AssertionError(f"unhandled operator {e.op}")
-    if isinstance(e, Call):
-        return _apply_fn(e, [evaluate(a, bindings) for a in e.args])
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0: the upward recurrence
     psi(x) = psi(x+1) - 1/x to x >= 10, then the asymptotic series through
@@ -332,76 +307,152 @@ def _power_derivative(
     return d
 
 
-def evaluate_with_derivative(
-    e: Expression, name: str, value: float
-) -> tuple[float, float]:
-    """Value of e and its derivative in the variable `name`, both at
-    name = value, by forward-mode differentiation.
+def _lookup(bindings: dict[str, float], var: Var) -> float:
+    try:
+        return float(bindings[var.name])
+    except KeyError:
+        raise EvalError(f"no binding for variable '{var.name}'", var) from None
 
-    Values go through the same arithmetic and domain checks as evaluate,
-    so they are identical to it and raise the same EvalError.  A
-    derivative term is formed only where its argument depends on the
-    variable, so gamma(2) or u^3 at u < 0 needs no log or digamma.  Where
-    the derivative does not exist (sqrt or abs at 0, a power below 1 at a
-    zero base) EvalError names the subexpression.
-    """
+
+def _divide(a: float, b: float, node: Expression) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero", node)
+    return a / b
+
+
+def _value_op(e: Expression, bindings: dict[str, float]):
+    """(children of e, the value of e as a function of theirs)."""
     if isinstance(e, Num):
-        return e.value, 0.0
+        return (), lambda: e.value
     if isinstance(e, Var):
-        if e.name != name:
-            raise EvalError(f"no binding for variable '{e.name}'", e)
-        return float(value), 1.0
+        return (), lambda: _lookup(bindings, e)
     if isinstance(e, Neg):
-        v, d = evaluate_with_derivative(e.arg, name, value)
-        return -v, -d
+        return (e.arg,), operator.neg
+    if isinstance(e, Call):
+        return e.args, lambda *args: _apply_fn(e, args)
+    if e.op == "/":
+        return (e.lhs, e.rhs), lambda a, b: _divide(a, b, e)
+    if e.op == "^":
+        return (e.lhs, e.rhs), lambda a, b: _power(a, b, e)
+    return (e.lhs, e.rhs), {"+": operator.add, "-": operator.sub, "*": operator.mul}[e.op]
+
+
+def _dual_op(e: Expression):
+    """(children of e, its (value, derivative) as a function of theirs)."""
+    if isinstance(e, Num):
+        return (), lambda: (e.value, 0.0)
+    if isinstance(e, Var):  # not the variable of differentiation
+        return (), lambda: (_lookup({}, e), 0.0)
+    if isinstance(e, Neg):
+        return (e.arg,), lambda x: (-x[0], -x[1])
+    if isinstance(e, Call):
+        return e.args, lambda *duals: _dual_rule(e, duals)
+    if e.op == "+":
+        return (e.lhs, e.rhs), lambda x, y: (x[0] + y[0], x[1] + y[1])
+    if e.op == "-":
+        return (e.lhs, e.rhs), lambda x, y: (x[0] - y[0], x[1] - y[1])
+    if e.op == "*":
+        return (e.lhs, e.rhs), lambda x, y: (
+            x[0] * y[0], (x[1] * y[0] if x[1] else 0.0) + (x[0] * y[1] if y[1] else 0.0))
+    return (e.lhs, e.rhs), lambda x, y: _dual_rule(e, (x, y))
+
+
+def _dual_rule(e: BinOp | Call, duals) -> tuple[float, float]:
+    """(value, derivative) of a quotient, power or call from its operands';
+    a derivative term is formed only where its operand varies."""
+    a, da = duals[0]
     if isinstance(e, BinOp):
-        a, da = evaluate_with_derivative(e.lhs, name, value)
-        b, db = evaluate_with_derivative(e.rhs, name, value)
-        if e.op == "+":
-            return a + b, da + db
-        if e.op == "-":
-            return a - b, da - db
-        if e.op == "*":
-            return a * b, (da * b if da else 0.0) + (a * db if db else 0.0)
+        b, db = duals[1]
         if e.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", e)
-            q = a / b
+            q = _divide(a, b, e)
             d = da / b if da else 0.0
             if db:
                 d -= q * db / b
             return q, d
-        if e.op == "^":
-            v = _power(a, b, e)
-            return v, _power_derivative(a, da, b, db, v, e)
-        raise AssertionError(f"unhandled operator {e.op}")
-    if isinstance(e, Call):
-        duals = [evaluate_with_derivative(arg, name, value) for arg in e.args]
-        v = _apply_fn(e, [a for a, _ in duals])
-        a, da = duals[0]
-        if e.fn == "pow":
-            b, db = duals[1]
-            return v, _power_derivative(a, da, b, db, v, e)
-        if not da:
-            return v, 0.0
-        if e.fn == "sin":
-            return v, math.cos(a) * da
-        if e.fn == "cos":
-            return v, -math.sin(a) * da
-        if e.fn == "exp":
-            return v, v * da
-        if e.fn == "ln":
-            return v, da / a
-        if e.fn in ("sqrt", "abs") and a == 0:
-            raise EvalError(f"{e.fn} has no derivative at 0", e)
-        if e.fn == "sqrt":
-            return v, 0.5 * da / v
-        if e.fn == "abs":
-            return v, da if a > 0 else -da
-        if e.fn == "gamma":
-            return v, v * _digamma(a) * da
-        raise AssertionError(f"unhandled function {e.fn}")
-    raise TypeError(f"not an expression node: {e!r}")
+        v = _power(a, b, e)
+        return v, _power_derivative(a, da, b, db, v, e)
+    v = _apply_fn(e, [arg for arg, _ in duals])
+    if e.fn == "pow":
+        b, db = duals[1]
+        return v, _power_derivative(a, da, b, db, v, e)
+    if not da:
+        return v, 0.0
+    if e.fn == "sin":
+        return v, math.cos(a) * da
+    if e.fn == "cos":
+        return v, -math.sin(a) * da
+    if e.fn == "exp":
+        return v, v * da
+    if e.fn == "ln":
+        return v, da / a
+    if e.fn in ("sqrt", "abs") and a == 0:
+        raise EvalError(f"{e.fn} has no derivative at 0", e)
+    if e.fn == "sqrt":
+        return v, 0.5 * da / v
+    if e.fn == "abs":
+        return v, da if a > 0 else -da
+    if e.fn == "gamma":
+        return v, v * _digamma(a) * da
+    raise AssertionError(f"unhandled function {e.fn}")
+
+
+def _compile(e: Expression, name: str | None, leaf, op_of):
+    """e as a closure of the variable `name` (leaf is the variable's own),
+    or as its value if e is free of name and evaluates without error.  A
+    subtree that raises stays a closure, so each call raises as a walk would.
+    """
+    if not isinstance(e, Expression):
+        raise TypeError(f"not an expression node: {e!r}")
+    if isinstance(e, Var) and e.name == name:
+        return leaf
+    children, op = op_of(e)
+    kids = [_compile(k, name, leaf, op_of) for k in children]
+    if not any(map(callable, kids)):
+        try:
+            return op(*kids)
+        except Exception:  # whatever it is, each call raises it again
+            return lambda v: op(*kids)
+    if len(kids) == 1:
+        (a,) = kids
+        return lambda v: op(a(v))
+    a, b = kids
+    if not callable(a):
+        return lambda v: op(a, b(v))
+    if not callable(b):
+        return lambda v: op(a(v), b)
+    return lambda v: op(a(v), b(v))
+
+
+def compile_expression(e: Expression, name: str):
+    """e as a function of one float, the value of the variable `name`:
+    evaluate(e, {name: v}) with its subtrees free of name folded once, here.
+    """
+    f = _compile(e, name, float, lambda node: _value_op(node, {}))
+    return f if callable(f) else lambda v: f
+
+
+def compile_with_derivative(e: Expression, name: str):
+    """e as a function of one float v returning evaluate_with_derivative(e,
+    name, v), folded like compile_expression."""
+    f = _compile(e, name, lambda v: (float(v), 1.0), _dual_op)
+    return f if callable(f) else lambda v: f
+
+
+def evaluate(e: Expression, bindings: dict[str, float]) -> float:
+    """Evaluate with IEEE double arithmetic; raises EvalError on domain
+    problems (carrying the subexpression) or missing bindings."""
+    f = _compile(e, None, None, lambda node: _value_op(node, bindings))
+    return f(None) if callable(f) else f
+
+
+def evaluate_with_derivative(
+    e: Expression, name: str, value: float
+) -> tuple[float, float]:
+    """Value of e, as evaluate gives it, and its derivative in the variable
+    `name`, both at name = value, by forward-mode differentiation.  Where
+    the derivative does not exist (sqrt or abs at 0, a power below 1 at a
+    zero base) EvalError names the subexpression."""
+    return compile_with_derivative(e, name)(value)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

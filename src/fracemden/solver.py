@@ -16,7 +16,11 @@ That system is assembled once per solve as an affine operator plus one
 nonlinear term, r(C) = A C + s * g(Phi C) - h, where row k of Phi is
 B(x_k).  Damped Newton solves it with the exact Jacobian
 J = A + diag(s * g'(Phi C)) Phi; g' comes from forward-mode
-differentiation of the g expression (expr.evaluate_with_derivative).
+differentiation of the g expression.  A problem compiles s, h, g, g' and
+exact once, on first use (EmdenFowlerProblem.compiled), with their
+constant subtrees, such as the Gamma terms of a manufactured forcing,
+folded; each point still goes through the same libm calls in the same
+order, so values are bit-identical to walking the expression trees.
 
 What does not depend on the problem is built once per key and cached:
 per degree bound N one record of the basis, the collocation points, Phi,
@@ -37,8 +41,9 @@ and so does a Newton step that is not finite (b = 1e308, say).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +115,23 @@ class EmdenFowlerProblem:
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
 
+    @cached_property
+    def compiled(self) -> _Compiled:
+        """s, h, g, g' and exact as functions of one float, compiled on
+        first use and kept on the instance outside eq, hash and repr."""
+        fn = expr.compile_expression
+        exact = None if self.exact is None else fn(self.exact, "x")
+        return _Compiled(fn(self.s, "x"), fn(self.h, "x"), fn(self.g, "u"),
+                         expr.compile_with_derivative(self.g, "u"), exact)
+
+    def __getstate__(self):
+        # closures do not pickle; a copy compiles its own
+        return {k: v for k, v in vars(self).items() if k != "compiled"}
+
+
+# g_dual(u) is (g(u), g'(u)); exact is None where the problem has none
+_Compiled = namedtuple("_Compiled", "s h g g_dual exact")
+
 
 def problem_from_strings(alpha, lam, s, g, h, a, b, exact=None) -> EmdenFowlerProblem:
     """Convenience constructor parsing the expression fields."""
@@ -152,18 +174,20 @@ def collocation_points(N: int) -> list[float]:
     return [(math.cos(i * math.pi / N) + 1.0) / 2.0 for i in range(1, N)]
 
 
-def _eval_at(
-    e: expr.Expression, name: str, value: float, where: str, *, derivative=False
-):
+def _eval_all(f, name: str, values, where: str) -> list:
+    """f at each value; an EvalError names the first value that raises."""
     try:
-        if derivative:
-            return expr.evaluate_with_derivative(e, name, value)
-        return expr.evaluate(e, {name: value})
-    except expr.EvalError as err:
-        raise expr.EvalError(
-            f"{err.args[0]} while evaluating {where} at {name}={value!r}",
-            err.subexpr,
-        ) from err
+        return list(map(f, values))
+    except expr.EvalError:
+        for value in values:
+            try:
+                f(value)
+            except expr.EvalError as err:
+                raise expr.EvalError(
+                    f"{err.args[0]} while evaluating {where} at {name}={value!r}",
+                    err.subexpr,
+                ) from err
+        raise
 
 
 class _Degree(NamedTuple):
@@ -192,6 +216,7 @@ class _System(NamedTuple):
     """The collocated system r(C) = A C + [s * g(Phi C); 0; 0] - rhs."""
 
     A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
+    absA: np.ndarray  # |A|, for the stop level
     Phi: np.ndarray  # row k is B(x_k) at collocation point k
     s: np.ndarray  # s(x_k)
     rhs: np.ndarray  # [h(x_k); a; b]
@@ -242,14 +267,15 @@ def _cached_operators(alpha: float, N: int) -> _Operators:
 def _assemble(problem: EmdenFowlerProblem, degree: _Degree, ops: _Operators) -> _System:
     damping = problem.lam / degree.x ** problem.alpha
     A = np.vstack([ops.P2 + damping[:, None] * ops.P1, degree.B0, ops.ic])
-    s = np.array([_eval_at(problem.s, "x", x, "s(x)") for x in degree.pts])
-    h = np.array([_eval_at(problem.h, "x", x, "h(x)") for x in degree.pts])
-    return _System(A, degree.Phi, s, np.concatenate([h, [problem.a, problem.b]]))
+    f = problem.compiled
+    s = np.array(_eval_all(f.s, "x", degree.pts, "s(x)"))
+    rhs = np.array(_eval_all(f.h, "x", degree.pts, "h(x)") + [problem.a, problem.b])
+    return _System(A, np.abs(A), degree.Phi, s, rhs)
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
     """r(C) and its nonlinear part s * g(Phi C)."""
-    g = [_eval_at(problem.g, "u", u, "g(u)") for u in (system.Phi @ C).tolist()]
+    g = _eval_all(problem.compiled.g, "u", (system.Phi @ C).tolist(), "g(u)")
     sg = system.s * np.array(g)
     r = system.A @ C - system.rhs
     r[: sg.size] += sg
@@ -258,10 +284,8 @@ def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
 
 def _jacobian(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
     """Exact J = A + [diag(s * g'(Phi C)) Phi; 0; 0]."""
-    dg = [
-        _eval_at(problem.g, "u", u, "g(u)", derivative=True)[1]
-        for u in (system.Phi @ C).tolist()
-    ]
+    duals = _eval_all(problem.compiled.g_dual, "u", (system.Phi @ C).tolist(), "g(u)")
+    dg = [d for _, d in duals]
     J = system.A.copy()
     J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.Phi
     return J
@@ -276,10 +300,10 @@ def _stop_level(
     SolverError naming the row and the terms of its scale.
     """
     with np.errstate(over="ignore"):
-        AC = np.abs(system.A) @ np.abs(C)
+        AC = system.absA @ np.abs(C)
         scale = AC + np.abs(system.rhs)
         scale[: sg.size] += np.abs(sg)
-    top = float(np.max(scale))
+    top = float(scale.max())
     if not math.isfinite(top):
         k = int(np.flatnonzero(~np.isfinite(scale))[0])
         n = len(pts)
@@ -348,7 +372,7 @@ def solve(
     C = np.zeros(N + 1)
     C[0] = problem.a
     r, sg = _residual(problem, system, C)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(np.abs(r).max())
     if not math.isfinite(rnorm):
         # the initial-condition rows come to a - a and -b: k is a collocation row
         k = int(np.flatnonzero(~np.isfinite(r))[0])
@@ -378,7 +402,7 @@ def solve(
         for _ in range(30):
             Cn = C + t * d
             rn, sgn = _residual(problem, system, Cn)
-            rn_norm = float(np.max(np.abs(rn)))
+            rn_norm = float(np.abs(rn).max())
             if rn_norm < rnorm:
                 break
             t *= 0.5
@@ -399,9 +423,9 @@ def solve(
     error_table = None
     if problem.exact is not None:
         rows = []
-        for x, bx in zip(_TABLE_XS, degree.table_rows):
+        exact = _eval_all(problem.compiled.exact, "x", _TABLE_XS, "exact(x)")
+        for x, bx, exact_val in zip(_TABLE_XS, degree.table_rows, exact):
             approx = float(C @ bx)
-            exact_val = _eval_at(problem.exact, "x", x, "exact(x)")
             rows.append((x, approx, exact_val, abs(approx - exact_val)))
         error_table = tuple(rows)
 
@@ -436,15 +460,16 @@ def residual_certificate(
     )
     d1 = fraccalc.caputo_polynomial(u_poly, problem.alpha)
     d2 = fraccalc.caputo_polynomial(u_poly, 2.0 * problem.alpha)
+    f = problem.compiled
     out = []
     for x in grid:
         x = float(x)
         if not 0.0 < x <= 1.0:
             raise ValueError(f"grid point {x} outside (0, 1]")
         u = u_poly(x)
-        sval = _eval_at(problem.s, "x", x, "s(x)")
-        gval = _eval_at(problem.g, "u", u, "g(u)")
-        hval = _eval_at(problem.h, "x", x, "h(x)")
+        sval = _eval_all(f.s, "x", [x], "s(x)")[0]
+        gval = _eval_all(f.g, "u", [u], "g(u)")[0]
+        hval = _eval_all(f.h, "x", [x], "h(x)")[0]
         resid = d2(x) + problem.lam / x ** problem.alpha * d1(x) + sval * gval - hval
         out.append((x, resid))
     return out

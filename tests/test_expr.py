@@ -1,6 +1,8 @@
 import math
+import struct
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,12 @@ from fracemden.expr import (
     Num,
     ParseError,
     Var,
+    _apply_fn,
     _digamma,
+    _power,
+    _power_derivative,
+    compile_expression,
+    compile_with_derivative,
     evaluate,
     evaluate_with_derivative,
     parse,
@@ -263,3 +270,189 @@ class TestRoundTripProperty:
     @given(_exprs({"x", "u", "a"}))
     def test_print_parse_identity(self, tree):
         assert parse(to_string(tree), {"x", "u", "a"}) == tree
+
+
+# The recursive tree walkers that evaluate and evaluate_with_derivative were
+# before they ran through compiled closures, kept verbatim as the reference.
+
+
+def _walk(e, bindings):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return float(bindings[e.name])
+        except KeyError:
+            raise EvalError(f"no binding for variable '{e.name}'", e) from None
+    if isinstance(e, Neg):
+        return -_walk(e.arg, bindings)
+    if isinstance(e, BinOp):
+        lhs = _walk(e.lhs, bindings)
+        rhs = _walk(e.rhs, bindings)
+        if e.op == "+":
+            return lhs + rhs
+        if e.op == "-":
+            return lhs - rhs
+        if e.op == "*":
+            return lhs * rhs
+        if e.op == "/":
+            if rhs == 0.0:
+                raise EvalError("division by zero", e)
+            return lhs / rhs
+        if e.op == "^":
+            return _power(lhs, rhs, e)
+        raise AssertionError(f"unhandled operator {e.op}")
+    if isinstance(e, Call):
+        return _apply_fn(e, [_walk(a, bindings) for a in e.args])
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _walk_dual(e, name, value):
+    if isinstance(e, Num):
+        return e.value, 0.0
+    if isinstance(e, Var):
+        if e.name != name:
+            raise EvalError(f"no binding for variable '{e.name}'", e)
+        return float(value), 1.0
+    if isinstance(e, Neg):
+        v, d = _walk_dual(e.arg, name, value)
+        return -v, -d
+    if isinstance(e, BinOp):
+        a, da = _walk_dual(e.lhs, name, value)
+        b, db = _walk_dual(e.rhs, name, value)
+        if e.op == "+":
+            return a + b, da + db
+        if e.op == "-":
+            return a - b, da - db
+        if e.op == "*":
+            return a * b, (da * b if da else 0.0) + (a * db if db else 0.0)
+        if e.op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero", e)
+            q = a / b
+            d = da / b if da else 0.0
+            if db:
+                d -= q * db / b
+            return q, d
+        if e.op == "^":
+            v = _power(a, b, e)
+            return v, _power_derivative(a, da, b, db, v, e)
+        raise AssertionError(f"unhandled operator {e.op}")
+    if isinstance(e, Call):
+        duals = [_walk_dual(arg, name, value) for arg in e.args]
+        v = _apply_fn(e, [a for a, _ in duals])
+        a, da = duals[0]
+        if e.fn == "pow":
+            b, db = duals[1]
+            return v, _power_derivative(a, da, b, db, v, e)
+        if not da:
+            return v, 0.0
+        if e.fn == "sin":
+            return v, math.cos(a) * da
+        if e.fn == "cos":
+            return v, -math.sin(a) * da
+        if e.fn == "exp":
+            return v, v * da
+        if e.fn == "ln":
+            return v, da / a
+        if e.fn in ("sqrt", "abs") and a == 0:
+            raise EvalError(f"{e.fn} has no derivative at 0", e)
+        if e.fn == "sqrt":
+            return v, 0.5 * da / v
+        if e.fn == "abs":
+            return v, da if a > 0 else -da
+        if e.fn == "gamma":
+            return v, v * _digamma(a) * da
+        raise AssertionError(f"unhandled function {e.fn}")
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives, in a form that compares bit for bit: the type
+    and the 8 bytes of each float (every NaN alike), or the exception's
+    type, text and subexpression node."""
+    try:
+        result = fn(*args)
+    except Exception as err:
+        return type(err), str(err), id(getattr(err, "subexpr", None))
+    values = result if isinstance(result, tuple) else (result,)
+    return tuple(
+        (type(v), "nan" if v != v else struct.pack("<d", v)) for v in values
+    )
+
+
+_POINTS = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 200.0, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestCompiledEqualsTreeWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(_exprs({"x"}), _POINTS)
+    def test_value(self, tree, x):
+        want = _outcome(_walk, tree, {"x": x})
+        assert _outcome(compile_expression(tree, "x"), x) == want
+        assert _outcome(evaluate, tree, {"x": x}) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(_exprs({"u"}), _POINTS)
+    def test_value_and_derivative(self, tree, u):
+        want = _outcome(_walk_dual, tree, "u", u)
+        assert _outcome(compile_with_derivative(tree, "u"), u) == want
+        assert _outcome(evaluate_with_derivative, tree, "u", u) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs({"x", "u", "a"}), st.dictionaries(st.sampled_from("xua"), _POINTS))
+    def test_other_variables(self, tree, bindings):
+        # evaluate binds any names; the compiled forms bind one, so every
+        # other variable raises "no binding" where the walk reaches it
+        assert _outcome(evaluate, tree, bindings) == _outcome(_walk, tree, bindings)
+        x, u = bindings.get("x", 0.5), bindings.get("u", 0.5)
+        assert _outcome(compile_expression(tree, "x"), x) == _outcome(_walk, tree, {"x": x})
+        assert _outcome(compile_with_derivative(tree, "u"), u) == (
+            _outcome(_walk_dual, tree, "u", u)
+        )
+
+    @pytest.mark.parametrize("src", CORPUS + ["-0*x", "x*-0", "0/x", "-2", "-(1-1)*x"])
+    def test_corpus(self, src):
+        tree = parse(src, X)
+        f, dual = compile_expression(tree, "x"), compile_with_derivative(tree, "x")
+        for x in (-1.5, -0.0, 0.0, 1e-3, 0.3, 1.0, 2.5, math.inf, -math.inf, math.nan):
+            assert _outcome(f, x) == _outcome(_walk, tree, {"x": x})
+            assert _outcome(dual, x) == _outcome(_walk_dual, tree, "x", x)
+
+
+class TestConstantFolding:
+    def test_constant_subtrees_are_evaluated_once(self, monkeypatch):
+        tree = parse("gamma(2.5)*x + gamma(1.5)/gamma(0.5)", X)
+        calls = []
+        gamma = math.gamma
+        monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
+        f = compile_expression(tree, "x")
+        assert calls == [2.5, 1.5, 0.5]
+        assert [f(x) for x in (0.1, 0.2, 0.3)] == [_walk(tree, {"x": x}) for x in (0.1, 0.2, 0.3)]
+        assert len(calls) == 3 + 3 * 3  # the walk evaluates every gamma again
+
+    def test_whole_constant_expression(self):
+        f = compile_expression(parse("2^3 - 1", X), "x")
+        assert f(0.25) == f(math.nan) == 7.0
+
+    @pytest.mark.parametrize(
+        "src", ["gamma(-1) + x", "x + 1/0", "x*ln(2 - 3)", "y + x", "x + sin(1e308*10)"]
+    )
+    def test_constant_subtree_that_raises_is_not_folded(self, src):
+        # compiling raises nothing; every call raises what the walk raises
+        tree = parse(src, {"x", "y"})
+        f, dual = compile_expression(tree, "x"), compile_with_derivative(tree, "x")
+        for x in (0.25, 0.5):
+            want = _outcome(_walk, tree, {"x": x})
+            assert want[0] in (EvalError, ValueError)  # sin(inf): math domain error
+            assert _outcome(f, x) == want
+            assert _outcome(dual, x) == _outcome(_walk_dual, tree, "x", x)
+
+    def test_variable_is_converted_to_float(self):
+        f = compile_expression(parse("x^400", X), "x")
+        with pytest.raises(EvalError, match="overflow"):
+            f(np.float64(10.0))  # numpy's power would give inf and a warning
+        assert type(compile_expression(parse("x", X), "x")(np.float64(0.5))) is float

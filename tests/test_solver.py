@@ -1,3 +1,5 @@
+import math
+import pickle
 import warnings
 
 import numpy as np
@@ -394,6 +396,61 @@ def test_lane_emden_sweep_converges(n, alpha, N):
         assert iters == 1  # linear: one exact Newton step
     else:
         assert iters <= 5
+
+
+class TestCompiledExpressions:
+    def test_constant_gamma_terms_of_h_are_evaluated_once(self, monkeypatch):
+        problem = mixed_power(0.7)
+        solver._cached_operators(0.7, 10)  # the Caputo matrices call gamma too
+        calls = []
+        gamma = math.gamma
+        monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
+        report = solve(problem, 10)
+        # once per gamma term, not once per term at each of the 9 points
+        assert len(calls) == expr.to_string(problem.h).count("gamma(") == 7
+        monkeypatch.undo()
+        assert report.C.tobytes() == solve(mixed_power(0.7), 10).C.tobytes()
+
+    def test_constant_subtree_that_raises_still_fails_at_solve_time(self):
+        problem = _with(lane_emden(1), h=expr.parse("gamma(-1) + x", {"x"}))
+        x0 = collocation_points(4)[0]
+        with pytest.raises(expr.EvalError) as err:
+            solve(problem, 4)
+        assert str(err.value) == (
+            f"gamma of non-positive value -1.0 in 'gamma(-1)' "
+            f"while evaluating h(x) at x={x0!r} in 'gamma(-1)'"
+        )
+        assert err.value.subexpr is problem.h.lhs
+
+    def test_error_names_the_first_point_that_raises(self):
+        # of the collocation points 0.854, 0.5 and 0.146 of N = 4,
+        # sqrt(x - 0.6) is undefined at the last two
+        problem = _with(lane_emden(1), h=expr.parse("sqrt(x - 0.6)", {"x"}))
+        x1 = collocation_points(4)[1]
+        with pytest.raises(expr.EvalError, match=f"h\\(x\\) at x={x1!r} in"):
+            solve(problem, 4)
+
+    def test_compiled_once_per_problem(self, monkeypatch):
+        problem = _cubic()
+        calls = []
+        for name in ("compile_expression", "compile_with_derivative"):
+            original = getattr(expr, name)
+            monkeypatch.setattr(
+                expr, name, lambda e, var, f=original: calls.append(var) or f(e, var)
+            )
+        for N in (4, 6, 8):
+            solve(problem, N)
+        residual_certificate(problem, solve(problem, 6).C, build_basis(6), [0.5])
+        assert sorted(calls) == ["u", "u", "x", "x", "x"]  # s, h, exact; g, g'
+
+    def test_compiled_forms_stay_out_of_eq_hash_repr_and_pickle(self):
+        problem, fresh = _cubic(), _cubic()
+        solve(problem, 6)
+        assert "compiled" in vars(problem) and problem == fresh
+        assert hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert copy == problem and "compiled" not in vars(copy)
+        assert solve(copy, 6).C.tobytes() == solve(problem, 6).C.tobytes()
 
 
 class TestResidualCertificate:
