@@ -15,15 +15,16 @@ so '^' binds tighter than unary minus: -x^2 parses as -(x^2), and
 2^-3 is allowed.  Known functions: sin cos exp ln sqrt abs gamma pow
 (pow takes two arguments, the rest one).  gamma is math.gamma; its
 derivative uses the local _digamma, since the standard library has no
-digamma.  Variable names are fixed at parse time; anything else is an
-immediate error.
+digamma.  Variable names are fixed at parse time, and a tree nests at most
+MAX_DEPTH = 100 levels (a sum of 100 terms, or 99 nested parentheses).
 
-compile_expression (the value) and compile_with_derivative (the value
-and its derivative) turn a tree once into nested closures of one variable.
-Subtrees free of it are evaluated then and folded into constants, unless
-they raise.  A call makes the same math.* calls and double operations, in
-the same order, as a walk of the tree, so values and errors are identical;
-evaluate and evaluate_with_derivative compile and call once.
+compile_expression (the value) and compile_with_derivative (the value and
+its derivative) turn a tree, in one pass over its nodes, into nested
+closures of one variable.  Subtrees free of it are evaluated then and
+folded into constants, unless they raise.  A call makes the same math.*
+calls and double operations, in the same order, as a walk of the tree, so
+values and errors are identical; evaluate and evaluate_with_derivative
+compile and call once.
 """
 
 from __future__ import annotations
@@ -132,11 +133,17 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
+# Deepest tree parse accepts, in nodes from the top to a leaf plus enclosing
+# parentheses: parsing, compiling and evaluating recurse once or so per level.
+MAX_DEPTH = 100
+
+
+class _Parser:  # each parse_* returns (node, depth)
     def __init__(self, src: str, variables: set[str]):
         self.tokens = _tokenize(src)
         self.pos = 0
         self.variables = variables
+        self.open = 0  # parse_factor calls under way, so recursion stays bounded
 
     def peek(self):
         return self.tokens[self.pos]
@@ -154,44 +161,54 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
+    def parse_expr(self):
+        node, depth = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.parse_term())
-        return node
+            rhs, d = self.parse_term()
+            node, depth = BinOp(op, node, rhs), max(depth, d) + 1
+        return node, depth
 
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
+    def parse_term(self):
+        node, depth = self.parse_factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            rhs, d = self.parse_factor()
+            node, depth = BinOp(op, node, rhs), max(depth, d) + 1
+        return node, depth
 
-    def parse_factor(self) -> Expression:
+    def parse_factor(self):
+        self.open += 1  # each open call is one more level
+        if self.open > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep", self.peek()[2])
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
+            node, depth = self.parse_factor()
+            node, depth = Neg(node), depth + 1
+        else:
+            node, depth = self.parse_power()
+        self.open -= 1
+        return node, depth
 
-    def parse_power(self) -> Expression:
-        node = self.parse_atom()
+    def parse_power(self):
+        node, depth = self.parse_atom()
         if self.peek()[0] == "^":
             self.advance()
             # right-assoc; exponent at factor level so 2^-3 works
-            node = BinOp("^", node, self.parse_factor())
-        return node
+            rhs, d = self.parse_factor()
+            node, depth = BinOp("^", node, rhs), max(depth, d) + 1
+        return node, depth
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self):
         kind, text, offset = self.peek()
         if kind == "NUM":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.parse_expr()
             self.expect(")")
-            return node
+            return node, depth + 1
         if kind == "IDENT":
             self.advance()
             if self.peek()[0] == "(":
@@ -209,22 +226,24 @@ class _Parser:
                         f"'{text}' takes {arity} argument(s), got {len(args)}",
                         offset,
                     )
-                return Call(text, tuple(args))
+                return Call(text, tuple(a for a, _ in args)), max(d for _, d in args) + 1
             if text not in self.variables:
                 raise ParseError(f"unknown identifier '{text}'", offset)
-            return Var(text)
+            return Var(text), 1
         raise ParseError(f"expected a value, found '{text or 'end of input'}'", offset)
 
 
 def parse(src: str, variables: set[str]) -> Expression:
-    """Parse src over the given variable names."""
+    """Parse src over the given variable names, at most MAX_DEPTH deep."""
     if not src.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(src, set(variables))
-    node = parser.parse_expr()
+    node, depth = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "EOF":
         raise ParseError(f"unexpected trailing input '{tok[1]}'", tok[2])
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested {depth} levels deep, more than {MAX_DEPTH}", 0)
     return node
 
 
@@ -320,41 +339,13 @@ def _divide(a: float, b: float, node: Expression) -> float:
     return a / b
 
 
-def _value_op(e: Expression, bindings: dict[str, float]):
-    """(children of e, the value of e as a function of theirs)."""
-    if isinstance(e, Num):
-        return (), lambda: e.value
-    if isinstance(e, Var):
-        return (), lambda: _lookup(bindings, e)
-    if isinstance(e, Neg):
-        return (e.arg,), operator.neg
-    if isinstance(e, Call):
-        return e.args, lambda *args: _apply_fn(e, args)
-    if e.op == "/":
-        return (e.lhs, e.rhs), lambda a, b: _divide(a, b, e)
-    if e.op == "^":
-        return (e.lhs, e.rhs), lambda a, b: _power(a, b, e)
-    return (e.lhs, e.rhs), {"+": operator.add, "-": operator.sub, "*": operator.mul}[e.op]
-
-
-def _dual_op(e: Expression):
-    """(children of e, its (value, derivative) as a function of theirs)."""
-    if isinstance(e, Num):
-        return (), lambda: (e.value, 0.0)
-    if isinstance(e, Var):  # not the variable of differentiation
-        return (), lambda: (_lookup({}, e), 0.0)
-    if isinstance(e, Neg):
-        return (e.arg,), lambda x: (-x[0], -x[1])
-    if isinstance(e, Call):
-        return e.args, lambda *duals: _dual_rule(e, duals)
-    if e.op == "+":
-        return (e.lhs, e.rhs), lambda x, y: (x[0] + y[0], x[1] + y[1])
-    if e.op == "-":
-        return (e.lhs, e.rhs), lambda x, y: (x[0] - y[0], x[1] - y[1])
-    if e.op == "*":
-        return (e.lhs, e.rhs), lambda x, y: (
-            x[0] * y[0], (x[1] * y[0] if x[1] else 0.0) + (x[0] * y[1] if y[1] else 0.0))
-    return (e.lhs, e.rhs), lambda x, y: _dual_rule(e, (x, y))
+# value and (value, derivative) rules of the operators that raise nothing
+_ARITH = {
+    "+": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (operator.mul, lambda x, y: (
+        x[0] * y[0], (x[1] * y[0] if x[1] else 0.0) + (x[0] * y[1] if y[1] else 0.0))),
+}
 
 
 def _dual_rule(e: BinOp | Call, duals) -> tuple[float, float]:
@@ -396,52 +387,74 @@ def _dual_rule(e: BinOp | Call, duals) -> tuple[float, float]:
     raise AssertionError(f"unhandled function {e.fn}")
 
 
-def _compile(e: Expression, name: str | None, leaf, op_of):
+def _compile(e: Expression, name: str | None, leaf, bindings: dict, dual: bool):
     """e as a closure of the variable `name` (leaf is the variable's own),
-    or as its value if e is free of name and evaluates without error.  A
-    subtree that raises stays a closure, so each call raises as a walk would.
-    """
-    if not isinstance(e, Expression):
-        raise TypeError(f"not an expression node: {e!r}")
-    if isinstance(e, Var) and e.name == name:
-        return leaf
-    children, op = op_of(e)
-    kids = [_compile(k, name, leaf, op_of) for k in children]
-    if not any(map(callable, kids)):
-        try:
-            return op(*kids)
-        except Exception:  # whatever it is, each call raises it again
-            return lambda v: op(*kids)
-    if len(kids) == 1:
-        (a,) = kids
-        return lambda v: op(a(v))
-    a, b = kids
-    if not callable(a):
-        return lambda v: op(a, b(v))
-    if not callable(b):
-        return lambda v: op(a(v), b)
-    return lambda v: op(a(v), b(v))
+    or as its value if e is free of name and evaluates without error; other
+    variables are looked up in bindings, and dual asks for (value,
+    derivative) pairs.  One pass dispatching on the node type; a subtree
+    that raises stays a closure, so each call raises as a walk would."""
+    t = type(e)
+    if t is Num:
+        return (e.value, 0.0) if dual else e.value
+    if t is Var:
+        if e.name == name:
+            return leaf
+        args, op = (), lambda: (_lookup(bindings, e), 0.0) if dual else _lookup(bindings, e)
+    else:
+        if t is BinOp:
+            lhs, rhs = e.lhs, e.rhs
+            if e.op in _ARITH:
+                op = _ARITH[e.op][dual]
+            elif dual:
+                op = lambda x, y: _dual_rule(e, (x, y))
+            else:
+                rule = {"/": _divide, "^": _power}[e.op]
+                op = lambda x, y: rule(x, y, e)
+        elif t is Neg:
+            lhs, rhs = e.arg, None
+            op = (lambda x: (-x[0], -x[1])) if dual else operator.neg
+        elif t is Call:
+            lhs, rhs = e.args if len(e.args) == 2 else (e.args[0], None)
+            op = (lambda *x: _dual_rule(e, x)) if dual else (lambda *x: _apply_fn(e, x))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        a = _compile(lhs, name, leaf, bindings, dual)
+        if rhs is None:
+            if callable(a):
+                return lambda v: op(a(v))
+            args = (a,)
+        else:
+            b = _compile(rhs, name, leaf, bindings, dual)
+            if callable(a):
+                return (lambda v: op(a(v), b(v))) if callable(b) else (lambda v: op(a(v), b))
+            if callable(b):
+                return lambda v: op(a, b(v))
+            args = (a, b)
+    try:
+        return op(*args)
+    except Exception:  # whatever it is, each call raises it again
+        return lambda v: op(*args)
 
 
 def compile_expression(e: Expression, name: str):
     """e as a function of one float, the value of the variable `name`:
     evaluate(e, {name: v}) with its subtrees free of name folded once, here.
     """
-    f = _compile(e, name, float, lambda node: _value_op(node, {}))
+    f = _compile(e, name, float, {}, False)
     return f if callable(f) else lambda v: f
 
 
 def compile_with_derivative(e: Expression, name: str):
     """e as a function of one float v returning evaluate_with_derivative(e,
     name, v), folded like compile_expression."""
-    f = _compile(e, name, lambda v: (float(v), 1.0), _dual_op)
+    f = _compile(e, name, lambda v: (float(v), 1.0), {}, True)
     return f if callable(f) else lambda v: f
 
 
 def evaluate(e: Expression, bindings: dict[str, float]) -> float:
     """Evaluate with IEEE double arithmetic; raises EvalError on domain
     problems (carrying the subexpression) or missing bindings."""
-    f = _compile(e, None, None, lambda node: _value_op(node, bindings))
+    f = _compile(e, None, None, bindings, False)
     return f(None) if callable(f) else f
 
 

@@ -11,33 +11,30 @@ basis by L2 projection, yields an (N+1)x(N+1) matrix D with
 so differentiating a coefficient vector reduces to one matrix product.
 Supported orders are 0 < alpha <= 2.
 
-The projection of x^beta, beta = i - alpha, has the closed-form shifted
-Legendre coefficients (Saadatmandi & Dehghan, Comput. Math. Appl. 59 (2010)
-1326-1336)
-
-    a_k = (2k+1) prod_{j<k} (beta - j) / prod_{j<=k} (beta + 1 + j),
-
-and a fixed integer matrix maps them to basis coefficients, so no Gram
-system is formed or solved.  alpha enters as its exact binary rational p/q,
-all moments of a row share one integer denominator, and all rows are formed
-at once in integer arrays with one correctly rounded integer quotient per
-entry -- the same float as the exact rational solution of the normal
-equations.  Only the Gamma-factor scaling is floating point; Gamma is the
-standard library's math.gamma, which is within a few ulp and returns the
-exact factorials through 22!.  For integer alpha every x^(i-alpha) lies in
-the basis span, every Gamma ratio is a quotient of exact factorials, and the
-resulting matrix is exactly integer.
+The projection of x^beta, beta = i - alpha, onto polynomials of degree N
+solves a Hilbert-type (Cauchy) system with a closed-form inverse (M.-D.
+Choi, Amer. Math. Monthly 90 (1983) 301-312), which gives its monomial
+coefficients (see build_E); the integer inverse of M maps them to basis
+coefficients, so no Gram system is formed or solved.  alpha enters as its
+exact binary rational p/q, all coefficients of a row share one integer
+denominator, and all rows are formed at once in integer arrays with one
+correctly rounded integer quotient per entry -- the same float as the exact
+rational solution of the normal equations.  Only the Gamma-factor scaling is
+floating point; Gamma is the standard library's math.gamma, which is within
+a few ulp and returns the exact factorials through 22!.  For integer alpha
+every x^(i-alpha) lies in the basis span, every Gamma ratio is a quotient
+of exact factorials, and the resulting matrix is exactly integer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .polybasis import BoubakerBasis, Polynomial, legendre_to_boubaker_int
+from .polybasis import BoubakerBasis, Polynomial, monomial_to_boubaker_int
 
 MAX_ORDER = 2.0
 
@@ -149,31 +146,46 @@ def build_Z(alpha: float, N: int) -> np.ndarray:
     return Z
 
 
+@lru_cache(maxsize=32)
+def _weighted_inverse(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks (B_n has only powers of n's parity) of the integer
+    inverse of M with row j scaled by (-1)^j (N+j+1)! / (j!^2 (N-j)!)."""
+    f = math.factorial
+    c = [(-1) ** j * f(N + j + 1) // (f(j) ** 2 * f(N - j)) for j in range(N + 1)]
+    G = monomial_to_boubaker_int(N) * np.array(c, dtype=object)[:, None]
+    G.setflags(write=False)
+    return G[0::2, 0::2], G[1::2, 1::2]
+
+
 def build_E(alpha: float, basis: BoubakerBasis) -> np.ndarray:
     """Expansion matrix of the fractional powers: row i holds the basis
     coefficients of the L2 projection of x^(i-alpha); rows below
     ceil(alpha) are zero.
 
-    With alpha = p/q exactly and beta = b/q, b = iq - p >= 0, the Legendre
-    moments of row i are a_k = num_k / den with
-    num_k = (2k+1) q prod_{j<k} (b - jq) prod_{k<j<=N} (b + (1+j)q) and
-    den = prod_{j<=N} (b + (1+j)q) > 0, all integers.  The row is
-    T num / den for the integer Legendre-to-basis matrix T.  All rows are
-    formed at once in whole-array integer arithmetic (object arrays of
-    Python ints), with one correctly rounded integer quotient per entry.
+    With alpha = p/q exactly and beta = b/q, b = iq - p >= 0, the monomial
+    coefficients of row i are w_j = c_j num_j / den with the integer weight
+    c_j = (-1)^j (N+j+1)!/(j!^2 (N-j)!), num_j = q prod_{l!=j} (lq - b)
+    from one prefix and one suffix product, and den = prod_{m<=N}
+    (b + (1+m)q) > 0.  The row is num G / den for the cached G = diag(c)
+    M^{-1}, applied block by parity.  All rows are formed at once in
+    whole-array integer arithmetic (object arrays of Python ints), with one
+    correctly rounded integer quotient per entry.
     """
     N = basis.N
     ca = _check_order(alpha, N)
-    p, q = Fraction(alpha).as_integer_ratio()  # exact value of the float argument
-    j = np.arange(N + 1).astype(object)
+    p, q = float(alpha).as_integer_ratio()  # exact value of the float argument
+    lq = np.arange(N + 1).astype(object) * q
     b = np.arange(ca, N + 1).astype(object)[:, None] * q - p  # one row per i
-    one = np.ones_like(b)
-    # tail[:, k] = prod_{k<j<=N} (b + (1+j)q) and head[:, k] = q prod_{j<k} (b - jq)
-    tail = np.multiply.accumulate(np.hstack([one, b + (1 + j[:0:-1]) * q]), 1)[:, ::-1]
-    head = np.multiply.accumulate(np.hstack([q * one, b - j[:-1] * q]), 1)
-    num, den = (2 * j + 1) * head * tail, tail[:, :1] * (b + q)
+    f = lq - b
+    f[:, 0] *= q  # only the prefix products read column 0
+    num = np.full_like(f, q)
+    np.multiply.accumulate(f[:, :-1], 1, out=num[:, 1:])
+    num[:, :-1] *= np.multiply.accumulate(f[:, :0:-1], 1)[:, ::-1]
+    den = np.multiply.reduce(lq + (b + q), 1)[:, None]
+    even, odd = _weighted_inverse(N)
     E = np.zeros((N + 1, N + 1))
-    E[ca:] = (num @ legendre_to_boubaker_int(N).T) / den
+    E[ca:, 0::2] = (num[:, 0::2] @ even) / den
+    E[ca:, 1::2] = (num[:, 1::2] @ odd) / den
     return E
 
 

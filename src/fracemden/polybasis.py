@@ -126,25 +126,27 @@ def legendre_shifted_int(N: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=32)
+def monomial_to_boubaker_int(N: int) -> np.ndarray:
+    """Integer inverse of M, the one integer change-of-basis helper: row j
+    holds the basis coordinates of x^j, by exact forward substitution, as
+    Python ints in a read-only object array (unit lower triangular)."""
+    Mint = build_M_int(N)
+    inv = np.zeros((N + 1, N + 1), dtype=object)
+    for j, row in enumerate(Mint):
+        inv[j, j] = 1
+        for k in range(j):
+            inv[j] -= row[k] * inv[k]
+    inv.setflags(write=False)
+    return inv
+
+
+@lru_cache(maxsize=32)
 def legendre_to_boubaker_int(N: int) -> np.ndarray:
     """Integer change of basis T = M^{-T} L^T from shifted Legendre to
-    Boubaker coefficients: sum_k a_k P~_k = sum_n (T a)_n B_n.
-
-    Column k holds the basis coordinates of P~_k, found by exact back
-    substitution through M^T; they are integers because M is unit lower
-    triangular with integer entries: Python ints in a read-only object array.
-    """
-    L = legendre_shifted_int(N)
-    Mint = build_M_int(N)
-    cols = []
-    for k in range(N + 1):
-        c = [0] * (N + 1)
-        for n in range(N, -1, -1):
-            c[n] = L[k][n] - sum(Mint[i][n] * c[i] for i in range(n + 1, N + 1))
-        cols.append(c)
-    T = np.array(cols, dtype=object).T
-    T.setflags(write=False)
-    return T
+    Boubaker coefficients: sum_k a_k P~_k = sum_n (T a)_n B_n, read-only."""
+    LMinv = np.array(legendre_shifted_int(N), dtype=object) @ monomial_to_boubaker_int(N)
+    LMinv.setflags(write=False)  # and so its transpose T, a view of it
+    return LMinv.T
 
 
 def build_M(N: int) -> np.ndarray:

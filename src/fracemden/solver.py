@@ -366,6 +366,8 @@ def solve(
         raise ValueError(f"need N >= 2, got {N}")
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     degree = _cached_degree(N)
     system = _assemble(problem, degree, _cached_operators(problem.alpha, N))
 

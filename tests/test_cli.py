@@ -162,6 +162,21 @@ class TestSolveCommand:
         assert code == 1
         assert "residual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,cause", [
+        ("max_iters = -1", "max_iters must be >= 0, got -1"),
+        ('h = "' + "+".join(["x"] * 900) + '"', "nested 900 levels deep, more than 100"),
+    ], ids=["negative_max_iters", "deep_expression"])
+    def test_refused_input_exit2(self, tmp_path, capsys, line, cause):
+        fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
+                  "a": "1", "b": "0", "N": "3"}
+        key, _, value = line.partition(" = ")
+        fields[key] = value
+        bad = tmp_path / "bad.prob"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        code, _ = run("solve", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert cause in capsys.readouterr().err
+
     # Newton's stop test is false for a NaN residual and true under an
     # infinite stop level, so unchecked, each of these would print "solved"
     # after 0 Newton iterations and exit 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracemden.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvalError,
@@ -456,3 +457,44 @@ class TestConstantFolding:
         with pytest.raises(EvalError, match="overflow"):
             f(np.float64(10.0))  # numpy's power would give inf and a warning
         assert type(compile_expression(parse("x", X), "x")(np.float64(0.5))) is float
+
+
+# sources of depth k in each way a tree can nest
+_DEEP = {
+    "sum": lambda k: "+".join(["x"] * k),
+    "parentheses": lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+    "minus": lambda k: "-" * (k - 1) + "x",
+    "power": lambda k: "^".join(["x"] * k),
+    "calls": lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+    "minus_parentheses": lambda k: "-(" * ((k - 1) // 2) + "-x"[k % 2:] + ")" * ((k - 1) // 2),
+    "negated_sum": lambda k: "-(" + "+".join(["x"] * (k - 2)) + ")",
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", sorted(_DEEP))
+    def test_at_the_limit_parses_compiles_and_evaluates(self, shape):
+        tree = parse(_DEEP[shape](MAX_DEPTH), X)
+        f, dual = compile_expression(tree, "x"), compile_with_derivative(tree, "x")
+        for x in (0.5, 2.0):
+            assert _outcome(f, x) == _outcome(_walk, tree, {"x": x})
+            assert _outcome(evaluate, tree, {"x": x}) == _outcome(_walk, tree, {"x": x})
+            assert _outcome(dual, x) == _outcome(_walk_dual, tree, "x", x)
+        assert parse(to_string(tree), X) == tree
+
+    @pytest.mark.parametrize("shape", sorted(_DEEP))
+    def test_one_level_beyond_is_refused(self, shape):
+        with pytest.raises(ParseError, match=f"more than {MAX_DEPTH}"):
+            parse(_DEEP[shape](MAX_DEPTH + 1), X)
+
+    def test_refusal_names_the_depth(self):
+        # these used to end in an uncaught RecursionError
+        with pytest.raises(ParseError, match="nested 900 levels deep, more than 100"):
+            parse(_DEEP["sum"](900), X)
+        with pytest.raises(ParseError, match="nested more than 100 levels deep"):
+            parse(_DEEP["parentheses"](201), X)
+
+    def test_the_sum_at_the_limit_is_exact(self):
+        tree = parse(_DEEP["sum"](MAX_DEPTH), X)
+        assert compile_expression(tree, "x")(0.5) == 50.0
+        assert compile_with_derivative(tree, "x")(0.5) == (50.0, 100.0)

@@ -11,6 +11,7 @@ from fracemden import linalg
 from fracemden.expr import EvalError, evaluate, parse
 from fracemden.fraccalc import (
     GeneralizedPolynomial,
+    _weighted_inverse,
     build_D,
     build_E,
     build_Z,
@@ -21,8 +22,10 @@ from fracemden.polybasis import (
     boubaker_coefficient,
     boubaker_polynomial,
     build_basis,
+    build_M_int,
     eval_basis,
     legendre_to_boubaker_int,
+    monomial_to_boubaker_int,
 )
 
 # high-precision reference values (mpmath, 30 digits)
@@ -240,6 +243,66 @@ ORACLE_GRID = [
     for alpha in ORACLE_ALPHAS
     if math.ceil(alpha) <= N
 ]
+
+
+def _closed_form_weights(beta, N):
+    """Monomial coefficients of the L2 projection of x^beta onto degree N,
+    from the closed-form inverse of the Hilbert-type system, in Fractions."""
+    f = math.factorial
+    den = math.prod(beta + 1 + m for m in range(N + 1))
+    return [
+        (-1) ** j * Fraction(f(N + j + 1), f(j) ** 2 * f(N - j))
+        * math.prod(l - beta for l in range(N + 1) if l != j) / den
+        for j in range(N + 1)
+    ]
+
+
+class TestClosedFormKernel:
+    """build_E's kernel judged on its own terms, in exact arithmetic: the
+    closed-form weights against the normal equations they solve, and the
+    cached integer tables against M."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+        N=st.integers(min_value=2, max_value=15),
+        data=st.data(),
+    )
+    def test_weights_solve_the_normal_equations(self, alpha, N, data):
+        i = data.draw(st.integers(min_value=math.ceil(alpha), max_value=N))
+        beta = i - Fraction(alpha)
+        w = _closed_form_weights(beta, N)
+        for m in range(N + 1):
+            assert sum(wj / (m + j + 1) for j, wj in enumerate(w)) == 1 / (m + beta + 1)
+        # and build_E's row is their basis coordinates w M^-1, rounded once
+        Minv = monomial_to_boubaker_int(N)
+        row = [float(sum(w[j] * Minv[j, n] for j in range(N + 1))) for n in range(N + 1)]
+        assert build_E(alpha, build_basis(N))[i].tolist() == row
+
+    @pytest.mark.parametrize("N", range(0, 16))
+    def test_integer_inverse_times_M_is_identity(self, N):
+        Minv, M = monomial_to_boubaker_int(N), np.array(build_M_int(N), dtype=object)
+        assert all(type(v) is int for v in Minv.flat)
+        assert (Minv @ M).tolist() == np.eye(N + 1, dtype=int).tolist()
+
+    def test_weighted_blocks_are_the_scaled_inverse(self):
+        N, f = 7, math.factorial
+        scaled = [
+            [(-1) ** j * f(N + j + 1) // (f(j) ** 2 * f(N - j)) * v for v in row]
+            for j, row in enumerate(monomial_to_boubaker_int(N).tolist())
+        ]
+        even, odd = _weighted_inverse(N)
+        assert even.tolist() == [row[0::2] for row in scaled[0::2]]
+        assert odd.tolist() == [row[1::2] for row in scaled[1::2]]
+        assert all(v == 0 for j, row in enumerate(scaled) for n, v in enumerate(row) if (j - n) % 2)
+
+    def test_cached_tables_refuse_writes(self):
+        Minv = monomial_to_boubaker_int(6)
+        assert Minv is monomial_to_boubaker_int(6)
+        # the change of basis is a transposed view: its base is cached too
+        for table in (Minv, *_weighted_inverse(6), legendre_to_boubaker_int(6).base):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 2
 
 
 class TestBuildE:

@@ -162,6 +162,11 @@ class TestSolve:
             solve(lane_emden(1), 3, max_iters=0)
         assert err.value.best_residual > 0
 
+    def test_negative_max_iters_refused(self):
+        # it used to report "did not converge in 0 iterations"
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+            solve(lane_emden(1), 3, max_iters=-1)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             EmdenFowlerProblem(
