@@ -18,6 +18,15 @@ derivative uses the local _digamma, since the standard library has no
 digamma.  Variable names are fixed at parse time, and a tree nests at most
 MAX_DEPTH = 100 levels (a sum of 100 terms, or 99 nested parentheses).
 
+One table, _RULES, declares each operator and function once: its arity, a
+value rule (operand values to value, domain checks included) and a dual
+rule ((value, derivative) pairs to the same, in forward mode).  The parser
+takes function names and arities from it, and the compiler sends every
+BinOp, Neg and Call through it, refusing in the parser's words a hand-built
+node whose name is missing or whose operand count is wrong.  A value out
+of a function's domain (ln(0), sin of an infinity), a division by zero or
+an overflow raises EvalError naming the subexpression.
+
 compile_expression (the value) and compile_with_derivative (the value and
 its derivative) turn a tree, in one pass over its nodes, into nested
 closures of one variable.  Subtrees free of it are evaluated then and
@@ -30,7 +39,7 @@ compile and call once.
 from __future__ import annotations
 
 import math
-import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -79,11 +88,6 @@ class Call:
 
 
 Expression = Num | Var | Neg | BinOp | Call
-
-_FUNCTION_ARITY = {
-    "sin": 1, "cos": 1, "exp": 1, "ln": 1,
-    "sqrt": 1, "abs": 1, "gamma": 1, "pow": 2,
-}
 
 # token kinds: NUM, IDENT, and single-char operators/punctuation
 _OPS = set("+-*/^(),")
@@ -212,7 +216,8 @@ class _Parser:  # each parse_* returns (node, depth)
         if kind == "IDENT":
             self.advance()
             if self.peek()[0] == "(":
-                if text not in _FUNCTION_ARITY:
+                rule = _RULES.get(text)
+                if rule is None:
                     raise ParseError(f"unknown function '{text}'", offset)
                 self.advance()
                 args = [self.parse_expr()]
@@ -220,10 +225,9 @@ class _Parser:  # each parse_* returns (node, depth)
                     self.advance()
                     args.append(self.parse_expr())
                 self.expect(")")
-                arity = _FUNCTION_ARITY[text]
-                if len(args) != arity:
+                if len(args) != rule.arity:
                     raise ParseError(
-                        f"'{text}' takes {arity} argument(s), got {len(args)}",
+                        f"'{text}' takes {rule.arity} argument(s), got {len(args)}",
                         offset,
                     )
                 return Call(text, tuple(a for a, _ in args)), max(d for _, d in args) + 1
@@ -245,36 +249,6 @@ def parse(src: str, variables: set[str]) -> Expression:
     if depth > MAX_DEPTH:
         raise ParseError(f"expression nested {depth} levels deep, more than {MAX_DEPTH}", 0)
     return node
-
-
-def _apply_fn(call: Call, args: tuple[float, ...] | list[float]) -> float:
-    fn = call.fn
-    try:
-        if fn == "sin":
-            return math.sin(args[0])
-        if fn == "cos":
-            return math.cos(args[0])
-        if fn == "exp":
-            return math.exp(args[0])
-        if fn == "ln":
-            if args[0] <= 0:
-                raise EvalError(f"ln of non-positive value {args[0]!r}", call)
-            return math.log(args[0])
-        if fn == "sqrt":
-            if args[0] < 0:
-                raise EvalError(f"sqrt of negative value {args[0]!r}", call)
-            return math.sqrt(args[0])
-        if fn == "abs":
-            return abs(args[0])
-        if fn == "gamma":
-            if args[0] <= 0:
-                raise EvalError(f"gamma of non-positive value {args[0]!r}", call)
-            return math.gamma(args[0])
-        if fn == "pow":
-            return _power(args[0], args[1], call)
-    except OverflowError:
-        raise EvalError("overflow", call) from None
-    raise AssertionError(f"unhandled function {fn}")
 
 
 def _power(base: float, exponent: float, node: Expression) -> float:
@@ -339,60 +313,88 @@ def _divide(a: float, b: float, node: Expression) -> float:
     return a / b
 
 
-# value and (value, derivative) rules of the operators that raise nothing
-_ARITH = {
-    "+": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
-    "-": (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
-    "*": (operator.mul, lambda x, y: (
+# In the dual rules, a derivative term is formed only where its operand varies.
+def _quotient_dual(x, y, node):
+    (a, da), (b, db) = x, y
+    q = _divide(a, b, node)
+    d = da / b if da else 0.0
+    if db:
+        d -= q * db / b
+    return q, d
+
+
+def _power_dual(x, y, node):
+    (a, da), (b, db) = x, y
+    v = _power(a, b, node)
+    return v, _power_derivative(a, da, b, db, v, node)
+
+
+# value(*operand values, node) -> float and
+# dual(*(value, derivative) pairs, node) -> (value, derivative)
+_Rule = namedtuple("_Rule", "arity value dual")
+
+
+def _function(libm, slope, refuse=None, smooth=True) -> _Rule:
+    """Rule of a one-argument function.  libm(a) is its value; refuse =
+    (word, test) marks the arguments outside its domain; slope(a, da, v) is
+    its derivative, and a function that is not smooth has none at 0.  A
+    ValueError or OverflowError of libm becomes an EvalError naming the call.
+    """
+
+    def value(a, node):
+        if refuse and refuse[1](a):
+            raise EvalError(f"{node.fn} of {refuse[0]} value {a!r}", node)
+        try:
+            return libm(a)
+        except OverflowError:
+            raise EvalError("overflow", node) from None
+        except ValueError:  # math.sin and math.cos of an infinity
+            raise EvalError(f"{node.fn} of {a!r} is undefined", node) from None
+
+    def dual(x, node):
+        a, da = x
+        v = value(a, node)
+        if not da:
+            return v, 0.0
+        if not smooth and a == 0:
+            raise EvalError(f"{node.fn} has no derivative at 0", node)
+        return v, slope(a, da, v)
+
+    return _Rule(1, value, dual)
+
+
+_NON_POSITIVE = ("non-positive", lambda a: a <= 0)
+
+# Every operator and function, keyed by BinOp.op, Call.fn, or Neg for unary
+# minus.  math.* is looked up at each call, inside the lambdas.
+_RULES = {
+    "+": _Rule(2, lambda x, y, e: x + y, lambda x, y, e: (x[0] + y[0], x[1] + y[1])),
+    "-": _Rule(2, lambda x, y, e: x - y, lambda x, y, e: (x[0] - y[0], x[1] - y[1])),
+    "*": _Rule(2, lambda x, y, e: x * y, lambda x, y, e: (
         x[0] * y[0], (x[1] * y[0] if x[1] else 0.0) + (x[0] * y[1] if y[1] else 0.0))),
+    "/": _Rule(2, _divide, _quotient_dual),
+    "^": _Rule(2, _power, _power_dual),
+    Neg: _Rule(1, lambda x, e: -x, lambda x, e: (-x[0], -x[1])),
+    "sin": _function(lambda a: math.sin(a), lambda a, da, v: math.cos(a) * da),
+    "cos": _function(lambda a: math.cos(a), lambda a, da, v: -math.sin(a) * da),
+    "exp": _function(lambda a: math.exp(a), lambda a, da, v: v * da),
+    "ln": _function(lambda a: math.log(a), lambda a, da, v: da / a, _NON_POSITIVE),
+    "sqrt": _function(lambda a: math.sqrt(a), lambda a, da, v: 0.5 * da / v,
+                      ("negative", lambda a: a < 0), smooth=False),
+    "abs": _function(abs, lambda a, da, v: da if a > 0 else -da, smooth=False),
+    "gamma": _function(lambda a: math.gamma(a), lambda a, da, v: v * _digamma(a) * da,
+                       _NON_POSITIVE),
+    "pow": _Rule(2, _power, _power_dual),
 }
-
-
-def _dual_rule(e: BinOp | Call, duals) -> tuple[float, float]:
-    """(value, derivative) of a quotient, power or call from its operands';
-    a derivative term is formed only where its operand varies."""
-    a, da = duals[0]
-    if isinstance(e, BinOp):
-        b, db = duals[1]
-        if e.op == "/":
-            q = _divide(a, b, e)
-            d = da / b if da else 0.0
-            if db:
-                d -= q * db / b
-            return q, d
-        v = _power(a, b, e)
-        return v, _power_derivative(a, da, b, db, v, e)
-    v = _apply_fn(e, [arg for arg, _ in duals])
-    if e.fn == "pow":
-        b, db = duals[1]
-        return v, _power_derivative(a, da, b, db, v, e)
-    if not da:
-        return v, 0.0
-    if e.fn == "sin":
-        return v, math.cos(a) * da
-    if e.fn == "cos":
-        return v, -math.sin(a) * da
-    if e.fn == "exp":
-        return v, v * da
-    if e.fn == "ln":
-        return v, da / a
-    if e.fn in ("sqrt", "abs") and a == 0:
-        raise EvalError(f"{e.fn} has no derivative at 0", e)
-    if e.fn == "sqrt":
-        return v, 0.5 * da / v
-    if e.fn == "abs":
-        return v, da if a > 0 else -da
-    if e.fn == "gamma":
-        return v, v * _digamma(a) * da
-    raise AssertionError(f"unhandled function {e.fn}")
 
 
 def _compile(e: Expression, name: str | None, leaf, bindings: dict, dual: bool):
     """e as a closure of the variable `name` (leaf is the variable's own),
     or as its value if e is free of name and evaluates without error; other
     variables are looked up in bindings, and dual asks for (value,
-    derivative) pairs.  One pass dispatching on the node type; a subtree
-    that raises stays a closure, so each call raises as a walk would."""
+    derivative) pairs.  Every operator node compiles its operands, then is
+    folded or becomes one closure over its rule; a subtree that raises stays
+    a closure, so each call raises as a walk would."""
     t = type(e)
     if t is Num:
         return (e.value, 0.0) if dual else e.value
@@ -402,34 +404,31 @@ def _compile(e: Expression, name: str | None, leaf, bindings: dict, dual: bool):
         args, op = (), lambda: (_lookup(bindings, e), 0.0) if dual else _lookup(bindings, e)
     else:
         if t is BinOp:
-            lhs, rhs = e.lhs, e.rhs
-            if e.op in _ARITH:
-                op = _ARITH[e.op][dual]
-            elif dual:
-                op = lambda x, y: _dual_rule(e, (x, y))
-            else:
-                rule = {"/": _divide, "^": _power}[e.op]
-                op = lambda x, y: rule(x, y, e)
-        elif t is Neg:
-            lhs, rhs = e.arg, None
-            op = (lambda x: (-x[0], -x[1])) if dual else operator.neg
+            key, operands = e.op, (e.lhs, e.rhs)
         elif t is Call:
-            lhs, rhs = e.args if len(e.args) == 2 else (e.args[0], None)
-            op = (lambda *x: _dual_rule(e, x)) if dual else (lambda *x: _apply_fn(e, x))
+            key, operands = e.fn, e.args
+        elif t is Neg:
+            key, operands = Neg, (e.arg,)
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        a = _compile(lhs, name, leaf, bindings, dual)
-        if rhs is None:
+        rule = _RULES.get(key)
+        if rule is None:
+            raise EvalError(f"unknown {'operator' if t is BinOp else 'function'} '{key}'", e)
+        if len(operands) != rule.arity:
+            raise EvalError(f"'{key}' takes {rule.arity} argument(s), got {len(operands)}", e)
+        op = rule.dual if dual else rule.value
+        a = _compile(operands[0], name, leaf, bindings, dual)
+        if rule.arity == 1:
             if callable(a):
-                return lambda v: op(a(v))
-            args = (a,)
+                return lambda v: op(a(v), e)
+            args = (a, e)
         else:
-            b = _compile(rhs, name, leaf, bindings, dual)
+            b = _compile(operands[1], name, leaf, bindings, dual)
             if callable(a):
-                return (lambda v: op(a(v), b(v))) if callable(b) else (lambda v: op(a(v), b))
+                return (lambda v: op(a(v), b(v), e)) if callable(b) else (lambda v: op(a(v), b, e))
             if callable(b):
-                return lambda v: op(a, b(v))
-            args = (a, b)
+                return lambda v: op(a, b(v), e)
+            args = (a, b, e)
     try:
         return op(*args)
     except Exception:  # whatever it is, each call raises it again
@@ -483,7 +482,7 @@ def _fmt(e: Expression, parent_prec: int) -> str:
         text = f"-{_fmt(e.arg, _PRECEDENCE['neg'])}"
         return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
     if isinstance(e, BinOp):
-        prec = _PRECEDENCE[e.op]
+        prec = _PRECEDENCE.get(e.op, 0)  # 0: a hand-built operator, in parentheses
         if e.op == "^":
             # right-assoc: parenthesize a left operand that is itself a power
             lhs = _fmt(e.lhs, prec + 1)

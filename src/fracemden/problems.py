@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr
-from .solver import EmdenFowlerProblem
+from .solver import EmdenFowlerProblem, problem_from_strings
 
 REQUIRED_KEYS = ("alpha", "lambda", "s", "g", "h", "a", "b", "N")
 OPTIONAL_KEYS = ("exact", "tol", "max_iters")
@@ -144,7 +144,8 @@ def parse_problem_file(path) -> ProblemSpec:
 #
 # All four have known closed-form solutions, which makes them the
 # reproduction and regression suite.  Fractional variants take the order as
-# a parameter and inline it into the expression strings.
+# a parameter and inline it into the expression strings, which
+# problem_from_strings(alpha, lam, s, g, h, a, b, exact) parses.
 
 
 def _fmt(v: float) -> str:
@@ -167,16 +168,7 @@ def lane_emden(n: int, alpha: float = 1.0) -> EmdenFowlerProblem:
             5: "(1 + x^2/3)^(-0.5)",
         }.get(n)
     g = "1" if n == 0 else ("u" if n == 1 else f"u^{n}")
-    return EmdenFowlerProblem(
-        alpha=alpha,
-        lam=2.0,
-        s=expr.parse("1", {"x"}),
-        g=expr.parse(g, {"u"}),
-        h=expr.parse("0", {"x"}),
-        a=1.0,
-        b=0.0,
-        exact=None if exact is None else expr.parse(exact, {"x"}),
-    )
+    return problem_from_strings(alpha, 2.0, "1", g, "0", 1.0, 0.0, exact)
 
 
 def shifted_power(alpha: float) -> EmdenFowlerProblem:
@@ -186,34 +178,16 @@ def shifted_power(alpha: float) -> EmdenFowlerProblem:
     solution is exact; u(0)=3, D^(a)u(0)=0.
     """
     a1, a2 = _fmt(alpha), _fmt(2 * alpha)
-    h_src = (
+    h = (
         f"gamma(1 + {a2}) + gamma(1 + {a2})/gamma(1 + {a1})"
         f" + (1 + x^{a1})*(3 + x^{a2})"
     )
-    return EmdenFowlerProblem(
-        alpha=alpha,
-        lam=1.0,
-        s=expr.parse(f"1 + x^{a1}", {"x"}),
-        g=expr.parse("u", {"u"}),
-        h=expr.parse(h_src, {"x"}),
-        a=3.0,
-        b=0.0,
-        exact=expr.parse(f"3 + x^{a2}", {"x"}),
-    )
+    return problem_from_strings(alpha, 1.0, f"1 + x^{a1}", "u", h, 3.0, 0.0, f"3 + x^{a2}")
 
 
 def exp_square() -> EmdenFowlerProblem:
     """u'' + (2/x) u' - 2(2x^2+3) u = 0 with exact solution exp(x^2)."""
-    return EmdenFowlerProblem(
-        alpha=1.0,
-        lam=2.0,
-        s=expr.parse("-2*(2*x^2 + 3)", {"x"}),
-        g=expr.parse("u", {"u"}),
-        h=expr.parse("0", {"x"}),
-        a=1.0,
-        b=0.0,
-        exact=expr.parse("exp(x^2)", {"x"}),
-    )
+    return problem_from_strings(1.0, 2.0, "-2*(2*x^2 + 3)", "u", "0", 1.0, 0.0, "exp(x^2)")
 
 
 def mixed_power(alpha: float) -> EmdenFowlerProblem:
@@ -224,21 +198,10 @@ def mixed_power(alpha: float) -> EmdenFowlerProblem:
     initial value.)
     """
     a1, a2, a3 = _fmt(alpha), _fmt(2 * alpha), _fmt(3 * alpha)
-    h_src = (
+    h = (
         f"-9 + gamma(1 + {a2})/gamma(1 + {a1}) + gamma(1 + {a2})"
         f" + (gamma(1 + {a3})/gamma(1 + {a1})"
         f" + gamma(1 + {a3})/gamma(1 + {a2}))*x^{a1}"
         f" - 9*x^{a2} - 9*x^{a3}"
     )
-    return EmdenFowlerProblem(
-        alpha=alpha,
-        lam=1.0,
-        s=expr.parse("-9", {"x"}),
-        g=expr.parse("u", {"u"}),
-        h=expr.parse(h_src, {"x"}),
-        a=1.0,
-        b=0.0,
-        exact=expr.parse(
-            f"1 + x^{_fmt(2 * alpha)} + x^{_fmt(3 * alpha)}", {"x"}
-        ),
-    )
+    return problem_from_strings(alpha, 1.0, "-9", "u", h, 1.0, 0.0, f"1 + x^{a2} + x^{a3}")

@@ -186,7 +186,10 @@ class TestSolveCommand:
         ("tol = nan", 2, "tol must be finite, got nan"),
         ("a = 1e308", 1, "stop level overflows"),
         ("b = 1e308", 1, "Newton step not finite at iteration 0"),
-    ], ids=["lambda", "h", "tol", "overflow", "step"])
+        ('h = "sin(1e308*10*x)"', 1,
+         "expression evaluation failed: sin of inf is undefined in 'sin(1e+308*10*x)'"
+         " while evaluating h(x) at x=0.8535533905932737"),
+    ], ids=["lambda", "h", "tol", "overflow", "step", "sin_of_inf"])
     def test_non_finite_input_fails_naming_its_cause(self, tmp_path, capsys, line, code, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "4"}
