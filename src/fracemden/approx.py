@@ -25,11 +25,9 @@ grid come from polybasis.eval_series, one call per grid.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .polybasis import (
     BoubakerBasis,
@@ -62,6 +60,8 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
     exact for polynomials of degree <= 2n-1; read-only since every caller
     shares the cached arrays."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(n)
     nodes, weights = (x + 1.0) / 2.0, w / 2.0
     nodes.setflags(write=False)
@@ -102,6 +102,8 @@ def integrate_01(f, singular_at_zero: bool = False) -> float:
 def _lobatto_vandermonde(N: int):
     """Chebyshev-Lobatto nodes on [0,1] and the exact rational Vandermonde
     V[i][n] = B_n(node_i)."""
+    from fractions import Fraction
+
     if N == 0:
         nodes = [0.5]
     else:
@@ -121,6 +123,8 @@ def _lobatto_vandermonde(N: int):
 
 
 def _interpolate_exact(vals: list[float], N: int) -> np.ndarray:
+    from fractions import Fraction
+
     from .linalg import solve_fractions
 
     _, V = _lobatto_vandermonde(N)
@@ -129,6 +133,8 @@ def _interpolate_exact(vals: list[float], N: int) -> np.ndarray:
 
 
 def _project_legendre(f, basis: BoubakerBasis, singular_at_zero: bool) -> np.ndarray:
+    from fractions import Fraction
+
     N = basis.N
     L = legendre_shifted_int(N)
     panels = [(xs, ws, _sample(f, xs)) for xs, ws in _quad_nodes(singular_at_zero)]

@@ -6,8 +6,14 @@ artifacts), ``reproduce`` (regenerate the benchmark tables and compare
 against the published reference digits), ``oracle-check`` (validate an
 operational matrix against the exact term-wise derivative).
 
-Exit codes: 0 success, 1 numerical failure, 2 usage or domain error.
+Exit codes: 0 success, 1 numerical failure, 2 usage or domain error
+(an --out that cannot be written among them).
 All output is deterministic: identical inputs give byte-identical files.
+
+Each command imports the modules it uses when it runs: ``solve`` loads
+problems, solver and expr, ``oracle-check`` fraccalc and approx, and
+``reproduce`` approx and refdata on top of ``solve``'s, so a fresh
+interpreter compiles only those.
 """
 
 from __future__ import annotations
@@ -20,17 +26,7 @@ import sys
 
 import numpy as np
 
-from . import approx, expr, fraccalc, linalg, refdata
 from .polybasis import Polynomial, build_basis, eval_basis, eval_series
-from .problems import (
-    ProblemFileError,
-    exp_square,
-    lane_emden,
-    mixed_power,
-    parse_problem_file,
-    shifted_power,
-)
-from .solver import SolverError, solve
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -91,6 +87,8 @@ def cmd_basis(args, out) -> int:
 
 
 def cmd_opmatrix(args, out) -> int:
+    from . import fraccalc
+
     alpha, N = args.alpha, args.n
     D = fraccalc.build_D(alpha, build_basis(N)).D
     if args.format == "csv":
@@ -104,12 +102,14 @@ def cmd_opmatrix(args, out) -> int:
 
 
 def cmd_solve(args, out) -> int:
+    from . import expr, problems, solver
+
     try:
-        spec = parse_problem_file(args.problem_file)
+        spec = problems.parse_problem_file(args.problem_file)
     except OSError as err:
         print(f"error: cannot read {args.problem_file}: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ProblemFileError as err:
+    except problems.ProblemFileError as err:
         print(f"error: {args.problem_file}: {err}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -119,21 +119,13 @@ def cmd_solve(args, out) -> int:
     if spec.max_iters is not None:
         opts["max_iters"] = spec.max_iters
     try:
-        report = solve(spec.problem, spec.N, **opts)
-    except SolverError as err:
+        report = solver.solve(spec.problem, spec.N, **opts)
+    except solver.SolverError as err:
         print(f"error: solve failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except expr.EvalError as err:
         print(f"error: expression evaluation failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    os.makedirs(args.out, exist_ok=True)
-
-    _write_csv(
-        os.path.join(args.out, "coefficients.csv"),
-        ["index", "coefficient"],
-        [[str(i), _f17(c)] for i, c in enumerate(report.C)],
-    )
 
     grid = np.linspace(0.0, 1.0, 101)
     sol_rows = []
@@ -149,11 +141,6 @@ def cmd_solve(args, out) -> int:
             sol_rows.append([_f17(x), _f17(u), "", ""])
         else:
             sol_rows.append([_f17(x), _f17(u), _f17(ex), _f17(abs(u - ex))])
-    _write_csv(
-        os.path.join(args.out, "solution.csv"),
-        ["x", "u_N", "exact", "abs_error"],
-        sol_rows,
-    )
 
     lines = [
         f"degree bound N = {spec.N}",
@@ -173,8 +160,24 @@ def cmd_solve(args, out) -> int:
             )
         max_err = max(row[3] for row in report.error_table)
         lines.append(f"max abs error = {_f17(max_err)}")
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        _write_csv(
+            os.path.join(args.out, "coefficients.csv"),
+            ["index", "coefficient"],
+            [[str(i), _f17(c)] for i, c in enumerate(report.C)],
+        )
+        _write_csv(
+            os.path.join(args.out, "solution.csv"),
+            ["x", "u_N", "exact", "abs_error"],
+            sol_rows,
+        )
+        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"solved: N={spec.N}, {report.newton_iters} Newton iteration(s), "
           f"residual_inf = {report.residual_inf:.3e}", file=out)
@@ -203,9 +206,11 @@ def _error_status(computed: float, reference: float) -> str:
 
 def _solve_errors(problem, N, grid):
     """|u_N - exact| of solve(problem, N) at each grid point."""
+    from . import approx, solver
+
     rows = approx.max_abs_error_on_grid(
         problem.compiled.exact,
-        solve(problem, N).C, build_basis(N), grid,
+        solver.solve(problem, N).C, build_basis(N), grid,
     )
     return [err for _, err in rows]
 
@@ -247,27 +252,33 @@ def _reproduce_error_table(name, cases, grid, reference, out_dir, out):
 
 
 def _reproduce_table1(out_dir, out):
+    from . import problems, refdata
+
     grid = refdata.TABLE1["grid"]
-    cases = [(m, lane_emden(1), m) for m in (3, 6)]
+    cases = [(m, problems.lane_emden(1), m) for m in (3, 6)]
     _reproduce_error_table("table1", cases, grid,
                            refdata.TABLE1["rows"], out_dir, out)
 
 
 def _reproduce_table2(out_dir, out):
+    from . import problems, refdata
+
     grid = refdata.TABLE2["grid"]
-    cases = [(a, shifted_power(a), 2) for a in (1.0, 0.85, 0.75)]
+    cases = [(a, problems.shifted_power(a), 2) for a in (1.0, 0.85, 0.75)]
     print(refdata.FRACTIONAL_NOTE, file=out)
     _reproduce_error_table("table2", cases, grid,
                            refdata.TABLE2["rows"], out_dir, out)
 
 
 def _reproduce_unknowns(out_dir, out):
+    from . import problems, refdata, solver
+
     print(refdata.IC_NOTE, file=out)
     print(refdata.FRACTIONAL_NOTE, file=out)
     rows = []
     n_agree = n_total = 0
     for alpha in (0.7, 0.8, 1.0):
-        report = solve(mixed_power(alpha), 4)
+        report = solver.solve(problems.mixed_power(alpha), 4)
         ref = refdata.UNKNOWNS[alpha]
         tol = 5e-3 if alpha == 1.0 else 5e-2
         for i, (c, r) in enumerate(zip(report.C, ref)):
@@ -286,12 +297,14 @@ def _reproduce_unknowns(out_dir, out):
 
 
 def _reproduce_table3(out_dir, out):
+    from . import problems, refdata
+
     grid = refdata.TABLE3["grid"]
     print(refdata.IC_NOTE, file=out)
     print(refdata.FRACTIONAL_NOTE, file=out)
     # the published caption and text disagree on the degree; run both
     for N, tag, compare in ((5, "table3_m5", True), (4, "table3_m4", False)):
-        cases = [(a, mixed_power(a), N) for a in (0.7, 0.8, 1.0)]
+        cases = [(a, problems.mixed_power(a), N) for a in (0.7, 0.8, 1.0)]
         if compare:
             _reproduce_error_table(tag, cases, grid,
                                    refdata.TABLE3["columns"], out_dir, out)
@@ -307,11 +320,13 @@ def _reproduce_table3(out_dir, out):
 
 
 def _reproduce_fig3(out_dir, out):
-    problem = exp_square()
+    from . import problems, solver
+
+    problem = problems.exp_square()
     grid = np.linspace(0.0, 1.0, 101)
     solved = {}
     for N in (4, 6):
-        solved[N] = eval_series(solve(problem, N).C, grid, build_basis(N)).tolist()
+        solved[N] = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
     rows = []
     max_err = {4: 0.0, 6: 0.0}
     for i, x in enumerate(grid):
@@ -343,10 +358,14 @@ _REPRODUCE_TARGETS = {
 
 
 def cmd_reproduce(args, out) -> int:
-    os.makedirs(args.out, exist_ok=True)
     targets = list(_REPRODUCE_TARGETS) if args.target == "all" else [args.target]
-    for t in targets:
-        _REPRODUCE_TARGETS[t](args.out, out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for t in targets:
+            _REPRODUCE_TARGETS[t](args.out, out)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -354,6 +373,8 @@ def cmd_reproduce(args, out) -> int:
 
 
 def cmd_oracle_check(args, out) -> int:
+    from . import approx, fraccalc
+
     alpha, N = args.alpha, args.n
     basis = build_basis(N)
     D = fraccalc.build_D(alpha, basis).D
@@ -478,3 +499,7 @@ def main(argv=None, out=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -52,9 +52,11 @@ class ParseError(Exception):
 
 
 class EvalError(Exception):
-    """Domain error or missing binding; carries the offending subexpression."""
+    """Domain error or missing binding; carries the offending subexpression
+    and the message without it."""
 
     def __init__(self, message: str, subexpr: "Expression"):
+        self.message = message
         self.subexpr = subexpr
         super().__init__(f"{message} in '{to_string(subexpr)}'")
 

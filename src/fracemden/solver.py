@@ -184,7 +184,7 @@ def _eval_all(f, name: str, values, where: str) -> list:
                 f(value)
             except expr.EvalError as err:
                 raise expr.EvalError(
-                    f"{err.args[0]} while evaluating {where} at {name}={value!r}",
+                    f"{err.message} while evaluating {where} at {name}={value!r}",
                     err.subexpr,
                 ) from err
         raise

@@ -3,21 +3,32 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracemden
 from fracemden import approx, fraccalc
 from fracemden.cli import main, poly_str
 from fracemden.polybasis import boubaker_polynomial, build_basis, eval_basis
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
+SRC_DIR = os.path.dirname(os.path.dirname(fracemden.__file__))
 
 
 def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_module(module, *argv):
+    """`python -m module argv...` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def read_csv(path):
@@ -187,8 +198,8 @@ class TestSolveCommand:
         ("a = 1e308", 1, "stop level overflows"),
         ("b = 1e308", 1, "Newton step not finite at iteration 0"),
         ('h = "sin(1e308*10*x)"', 1,
-         "expression evaluation failed: sin of inf is undefined in 'sin(1e+308*10*x)'"
-         " while evaluating h(x) at x=0.8535533905932737"),
+         "expression evaluation failed: sin of inf is undefined"
+         " while evaluating h(x) at x=0.8535533905932737 in 'sin(1e+308*10*x)'"),
     ], ids=["lambda", "h", "tol", "overflow", "step", "sin_of_inf"])
     def test_non_finite_input_fails_naming_its_cause(self, tmp_path, capsys, line, code, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
@@ -219,6 +230,27 @@ class TestSolveCommand:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+    def test_out_that_is_a_file_exit2(self, tmp_path, capsys):
+        prob = os.path.join(PROBLEMS_DIR, "lane_emden_n0.prob")
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, out = run("solve", prob, "--out", str(taken))
+        assert code == 2
+        assert f"error: cannot write {taken}: " in capsys.readouterr().err
+        assert out == ""
+        assert taken.read_text() == "keep"
+
+    def test_artifact_that_cannot_be_written_exit2(self, tmp_path, capsys):
+        prob = os.path.join(PROBLEMS_DIR, "lane_emden_n0.prob")
+        (tmp_path / "o" / "report.txt").mkdir(parents=True)
+        code, out = run("solve", prob, "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'o'}: ")
+        assert "report.txt" in err
+        assert out == ""
 
 
 class TestReproduceCommand:
@@ -277,6 +309,24 @@ class TestReproduceCommand:
         assert (tmp_path / "a" / "table1_comparison.csv").read_bytes() == (
             tmp_path / "b" / "table1_comparison.csv"
         ).read_bytes()
+
+
+    def test_out_that_is_a_file_exit2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, out = run("reproduce", "--target", "table1", "--out", str(taken))
+        assert code == 2
+        assert f"error: cannot write {taken}: " in capsys.readouterr().err
+        assert out == ""
+        assert taken.read_text() == "keep"
+
+    def test_artifact_that_cannot_be_written_exit2(self, tmp_path, capsys):
+        (tmp_path / "table1.csv").mkdir()
+        code, _ = run("reproduce", "--target", "table1", "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert "table1.csv" in err
 
 
 class TestOracleCheckCommand:
@@ -409,3 +459,29 @@ class TestExitCodes:
     def test_missing_required_flag(self):
         code, _ = run("basis")
         assert code == 2
+
+
+@pytest.mark.parametrize("module", ["fracemden", "fracemden.cli"])
+class TestRunAsModule:
+    def test_solve_gives_the_exit_code_and_artifacts_of_main(self, module, tmp_path):
+        prob = os.path.join(PROBLEMS_DIR, "lane_emden_n5.prob")
+        code, out = run("solve", prob, "--out", str(tmp_path / "main"))
+        proc = run_module(module, "solve", prob, "--out", str(tmp_path / "module"))
+        assert (proc.returncode, proc.stderr) == (code, "") == (0, "")
+        assert proc.stdout == out.replace(str(tmp_path / "main"), str(tmp_path / "module"))
+        for name in ("coefficients.csv", "solution.csv", "report.txt"):
+            assert (tmp_path / "module" / name).read_bytes() == (
+                tmp_path / "main" / name
+            ).read_bytes()
+
+    def test_failing_solve_exits_1(self, module, tmp_path):
+        hard = tmp_path / "hard.prob"
+        hard.write_text(
+            'alpha = 1\nlambda = 2\ns = "1"\ng = "u"\nh = "0"\n'
+            "a = 1\nb = 0\nN = 3\nmax_iters = 0\n"
+        )
+        proc = run_module(module, "solve", str(hard), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: solve failed: ")
+        assert proc.stdout == ""
+        assert not (tmp_path / "o").exists()

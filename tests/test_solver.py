@@ -422,7 +422,7 @@ class TestCompiledExpressions:
         with pytest.raises(expr.EvalError) as err:
             solve(problem, 4)
         assert str(err.value) == (
-            f"gamma of non-positive value -1.0 in 'gamma(-1)' "
+            f"gamma of non-positive value -1.0 "
             f"while evaluating h(x) at x={x0!r} in 'gamma(-1)'"
         )
         assert err.value.subexpr is problem.h.lhs
