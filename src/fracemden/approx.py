@@ -8,11 +8,13 @@ conditioned routes are used:
 * functions that already lie in the span (residual at check points at
   rounding level) are recovered by interpolation at Chebyshev-Lobatto
   nodes, with the Vandermonde system solved exactly over Fractions -- the
-  float nodes are exact rationals and the basis has integer coefficients,
-  so the only error left is the caller's own evaluation noise;
+  float nodes are dyadic rationals over one power of two and the basis has
+  integer coefficients, so the Vandermonde matrix is one integer product
+  and the only error left is the caller's own evaluation noise;
 * everything else goes through inner products against the shifted Legendre
-  frame (orthogonal, so no amplification) followed by an exact integer
-  change of basis back to the working family.
+  frame (orthogonal, so no amplification), one Horner pass over the whole
+  integer Legendre table per panel, followed by an exact integer change of
+  basis back to the working family.
 
 Both routes agree with the Gram-matrix definition in exact arithmetic.
 Quadrature order is fixed (64 Gauss-Legendre points, composited over four
@@ -101,25 +103,19 @@ def integrate_01(f, singular_at_zero: bool = False) -> float:
 @lru_cache(maxsize=32)
 def _lobatto_vandermonde(N: int):
     """Chebyshev-Lobatto nodes on [0,1] and the exact rational Vandermonde
-    V[i][n] = B_n(node_i)."""
+    V[i][n] = B_n(node_i), both as tuples.  Each node is a_i/Q over one
+    power of two Q, so Q^N V is the integer product (a_i^k Q^(N-k)) M^T."""
     from fractions import Fraction
 
     if N == 0:
-        nodes = [0.5]
+        nodes = (0.5,)
     else:
-        nodes = [(math.cos(i * math.pi / N) + 1.0) / 2.0 for i in range(N + 1)]
-    Mint = build_M_int(N)
-    V = []
-    for x in nodes:
-        fx = Fraction(x)
-        row = []
-        for n in range(N + 1):
-            acc = Fraction(0)
-            for k in range(n, -1, -1):
-                acc = acc * fx + Mint[n][k]
-            row.append(acc)
-        V.append(row)
-    return nodes, V
+        nodes = tuple((math.cos(i * math.pi / N) + 1.0) / 2.0 for i in range(N + 1))
+    Q = max(x.as_integer_ratio()[1] for x in nodes)
+    a = np.array([int(x * Q) for x in nodes], dtype=object)[:, None]
+    k = np.arange(N + 1).astype(object)
+    QNV = (a**k * Q ** (N - k)) @ build_M_int(N).T
+    return nodes, tuple(tuple(Fraction(v, Q**N) for v in row) for row in QNV.tolist())
 
 
 def _interpolate_exact(vals: list[float], N: int) -> np.ndarray:
@@ -136,21 +132,18 @@ def _project_legendre(f, basis: BoubakerBasis, singular_at_zero: bool) -> np.nda
     from fractions import Fraction
 
     N = basis.N
-    L = legendre_shifted_int(N)
-    panels = [(xs, ws, _sample(f, xs)) for xs, ws in _quad_nodes(singular_at_zero)]
-    a = []
-    for k in range(N + 1):
-        total = 0.0
-        for xs, ws, fv in panels:
-            pv = np.zeros_like(xs)
-            for j in range(N, -1, -1):
-                pv = pv * xs + L[k][j]
-            total += math.fsum(ws * fv * pv)
-        a.append((2 * k + 1) * total)
+    L = legendre_shifted_int(N).astype(float)
+    total = np.zeros(N + 1)
+    for xs, ws in _quad_nodes(singular_at_zero):
+        wf = ws * _sample(f, xs)
+        pv = np.zeros((N + 1, len(xs)))
+        for j in range(N, -1, -1):  # Horner over every Legendre row at once
+            pv = pv * xs + L[:, j, None]
+        total += [math.fsum(wf * row) for row in pv]
+    a = np.arange(1, 2 * N + 2, 2) * total
     # exact integer change of basis from the Legendre frame
-    aF = [Fraction(v) for v in a]
-    C = [sum(t * ak for t, ak in zip(row, aF)) for row in legendre_to_boubaker_int(N)]
-    return np.array([float(v) for v in C])
+    C = legendre_to_boubaker_int(N) @ np.array([Fraction(v) for v in a], dtype=object)
+    return C.astype(float)
 
 
 def project(f, basis: BoubakerBasis, singular_at_zero: bool = False) -> np.ndarray:

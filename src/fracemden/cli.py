@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .polybasis import Polynomial, build_basis, eval_basis, eval_series
+from .polybasis import Polynomial, build_basis, build_M_int, eval_basis, eval_series
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -37,18 +37,18 @@ def _f17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def poly_str(p: Polynomial) -> str:
-    """Human form with descending powers, e.g. 'x^3 + x' or 'x^4 - 2'."""
-    deg = p.degree
-    if deg is None:
-        return "0"
+def poly_str(p) -> str:
+    """Human form with descending powers, e.g. 'x^3 + x' or 'x^4 - 2', of a
+    Polynomial or an ascending coefficient row; int coefficients print
+    exactly."""
+    coeffs = p.coeffs if isinstance(p, Polynomial) else p
     parts = []
-    for k in range(deg, -1, -1):
-        c = p.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         mag = abs(c)
-        mag_s = format(mag, "g")
+        mag_s = format(mag, "g") if isinstance(mag, float) else str(mag)
         if k == 0:
             term = mag_s
         else:
@@ -58,7 +58,7 @@ def poly_str(p: Polynomial) -> str:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -78,11 +78,12 @@ def _print_matrix(D: np.ndarray, out) -> None:
 
 
 def cmd_basis(args, out) -> int:
-    basis = build_basis(args.n, force=args.force)
-    for n, p in enumerate(basis.polys):
-        print(f"B_{n} = {poly_str(p)}", file=out)
+    M = build_M_int(build_basis(args.n, force=args.force).N)  # exact integers
+    for n, row in enumerate(M):
+        print(f"B_{n} = {poly_str(row)}", file=out)
     print("M =", file=out)
-    _print_matrix(basis.M, out)
+    for row in M:
+        print(" ".join(map(str, row)), file=out)
     return EXIT_OK
 
 

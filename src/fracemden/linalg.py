@@ -3,16 +3,17 @@
 Everything here operates on matrices at most (DEGREE_CAP+1) square, in two
 layers.  The float layer is numpy: the Gram matrix M H M^T, and a solve
 and a 1-norm condition number that both go to numpy's LAPACK.  The
-exact-rational layer works on Fraction matrices, where Hilbert-like
-conditioning would ruin float64: the exact Gram matrix backs the
-positive-definiteness certificate, and the exact solve serves the
-Vandermonde interpolation in approx.  The operational matrix uses neither
-solve: its expansion matrix E comes from closed-form Legendre moments in
-exact integer arithmetic (see fraccalc).
+exact-rational layer returns Fractions where Hilbert-like conditioning
+would ruin float64: the exact Gram matrix, one integer product over the
+common denominator of H, backs the positive-definiteness certificate, and
+the exact solve serves the Vandermonde interpolation in approx.  The
+operational matrix uses neither solve: its expansion matrix E comes from
+closed-form Legendre moments in exact integer arithmetic (see fraccalc).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,26 +71,13 @@ def condition_estimate(A: np.ndarray) -> float:
 
 @lru_cache(maxsize=32)
 def gram_fractions(N: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact Gram matrix as Fractions (M is integer, H is rational)."""
-    Mint = build_M_int(N)
-    H = [[Fraction(1, i + j + 1) for j in range(N + 1)] for i in range(N + 1)]
-    rows = []
-    for i in range(N + 1):
-        row = []
-        for j in range(N + 1):
-            s = Fraction(0)
-            for k in range(i + 1):
-                mik = Mint[i][k]
-                if mik == 0:
-                    continue
-                hk = H[k]
-                for l in range(j + 1):
-                    mjl = Mint[j][l]
-                    if mjl:
-                        s += mik * hk[l] * mjl
-            row.append(s)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Exact Gram matrix M H M^T as Fractions: one integer product
+    M (L H) M^T over the common denominator L = lcm(1, ..., 2N+1) of H."""
+    L = math.lcm(*range(1, 2 * N + 2))
+    idx = np.arange(N + 1).astype(object)
+    M = build_M_int(N)
+    Q = M @ (L // (idx[:, None] + idx + 1)) @ M.T
+    return tuple(tuple(Fraction(q, L) for q in row) for row in Q.tolist())
 
 
 def solve_fractions(A, b) -> list[Fraction]:

@@ -6,6 +6,11 @@ monic of degree n with integer coefficients, and only powers with the same
 parity as n appear.  The whole basis up to degree N is summarised by the
 unit lower-triangular change-of-basis matrix M with B(x) = M * [1, x, ..,
 x^N]^T.
+
+Every exact integer table here (M, its inverse, the shifted Legendre
+frame and the change of basis between the frame and the family) is a
+cached, read-only numpy object array of Python ints, so one whole-array
+product replaces a nested loop and stays exact at any degree.
 """
 
 from __future__ import annotations
@@ -103,39 +108,41 @@ def boubaker_recurrence_check(N: int) -> bool:
     return True
 
 
-def build_M_int(N: int) -> list[list[int]]:
-    """Exact integer rows of the basis-to-monomial matrix, row n = B_n."""
-    if N < 0:
-        raise ValueError(f"degree bound must be nonnegative, got {N}")
-    return [_int_coeffs(n) + [0] * (N - n) for n in range(N + 1)]
+def _frozen(rows) -> np.ndarray:
+    """Read-only object array of the given Python ints."""
+    table = np.array(rows, dtype=object)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)
-def legendre_shifted_int(N: int) -> tuple[tuple[int, ...], ...]:
+def build_M_int(N: int) -> np.ndarray:
+    """Exact integer rows of the basis-to-monomial matrix, row n = B_n."""
+    if N < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {N}")
+    return _frozen([_int_coeffs(n) + [0] * (N - n) for n in range(N + 1)])
+
+
+@lru_cache(maxsize=32)
+def legendre_shifted_int(N: int) -> np.ndarray:
     """Integer monomial coefficients of the shifted Legendre polynomials
     on [0,1]: row k, entry j = (-1)^(k+j) C(k,j) C(k+j,j)."""
-    return tuple(
-        tuple(
-            (-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
-            if j <= k
-            else 0
-            for j in range(N + 1)
-        )
+    return _frozen([
+        [(-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j) for j in range(N + 1)]
         for k in range(N + 1)
-    )
+    ])
 
 
 @lru_cache(maxsize=32)
 def monomial_to_boubaker_int(N: int) -> np.ndarray:
     """Integer inverse of M, the one integer change-of-basis helper: row j
-    holds the basis coordinates of x^j, by exact forward substitution, as
-    Python ints in a read-only object array (unit lower triangular)."""
-    Mint = build_M_int(N)
+    holds the basis coordinates of x^j, by exact forward substitution, one
+    row product each (unit lower triangular)."""
+    M = build_M_int(N)
     inv = np.zeros((N + 1, N + 1), dtype=object)
-    for j, row in enumerate(Mint):
+    for j in range(N + 1):
+        inv[j] = -(M[j, :j] @ inv[:j])
         inv[j, j] = 1
-        for k in range(j):
-            inv[j] -= row[k] * inv[k]
     inv.setflags(write=False)
     return inv
 
@@ -144,7 +151,7 @@ def monomial_to_boubaker_int(N: int) -> np.ndarray:
 def legendre_to_boubaker_int(N: int) -> np.ndarray:
     """Integer change of basis T = M^{-T} L^T from shifted Legendre to
     Boubaker coefficients: sum_k a_k P~_k = sum_n (T a)_n B_n, read-only."""
-    LMinv = np.array(legendre_shifted_int(N), dtype=object) @ monomial_to_boubaker_int(N)
+    LMinv = legendre_shifted_int(N) @ monomial_to_boubaker_int(N)
     LMinv.setflags(write=False)  # and so its transpose T, a view of it
     return LMinv.T
 
@@ -154,7 +161,7 @@ def build_M(N: int) -> np.ndarray:
 
     Unit lower triangular with the parity sparsity pattern, so det M = 1.
     """
-    return np.array(build_M_int(N), dtype=float)
+    return build_M_int(N).astype(float)
 
 
 @dataclass(frozen=True)
@@ -186,11 +193,9 @@ def build_basis(N: int, force: bool = False) -> BoubakerBasis:
             "condition number grows Hilbert-like and double precision "
             "results are unreliable"
         )
-    Mint = build_M_int(N)
-    polys = tuple(
-        Polynomial(tuple(float(c) for c in row[: n + 1])) for n, row in enumerate(Mint)
-    )
-    return BoubakerBasis(N=N, polys=polys, M=np.array(Mint, dtype=float))
+    M = build_M(N)
+    polys = tuple(Polynomial(tuple(row[: n + 1].tolist())) for n, row in enumerate(M))
+    return BoubakerBasis(N=N, polys=polys, M=M)
 
 
 def eval_basis(x, basis: BoubakerBasis) -> np.ndarray:

@@ -136,8 +136,13 @@ def parse_problem_text(text: str) -> ProblemSpec:
 
 
 def parse_problem_file(path) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem_text(fh.read())
+    """Parse a UTF-8 problem file; a leading byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ProblemFileError(f"not UTF-8 text ({err})") from None
+    return parse_problem_text(text)
 
 
 # -- built-in benchmark problems --------------------------------------------

@@ -11,7 +11,7 @@ from fracemden.approx import (
     max_abs_error_on_grid,
     project,
 )
-from fracemden.polybasis import build_basis, eval_series
+from fracemden.polybasis import boubaker_polynomial, build_basis, eval_series
 
 
 def _gl_integrate(n, f):
@@ -123,6 +123,58 @@ class TestProject:
             C = rng.uniform(-1.0, 1.0, 9)
             got = project(lambda x: eval_series(C, x, basis), basis)
             np.testing.assert_allclose(got, C, rtol=0, atol=1e-9)
+
+
+class TestExactLayer:
+    @pytest.mark.parametrize("N", range(16))
+    def test_lobatto_vandermonde_is_exact_horner(self, N):
+        from fractions import Fraction
+
+        nodes, V = approx._lobatto_vandermonde(N)
+        assert isinstance(nodes, tuple) and isinstance(V, tuple)
+        assert all(isinstance(row, tuple) for row in V)
+        for x, row in zip(nodes, V):
+            want = []
+            for n in range(N + 1):
+                acc = Fraction(0)
+                for c in reversed(boubaker_polynomial(n).coeffs):
+                    acc = acc * Fraction(x) + Fraction(c)
+                want.append(acc)
+            assert list(row) == want
+
+    @staticmethod
+    def _project_legendre_per_row(f, basis, singular_at_zero):
+        # one Horner loop and one fsum per Legendre row, then the exact
+        # change of basis in Fractions
+        from fractions import Fraction
+
+        N = basis.N
+        L = [[(-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
+              for j in range(N + 1)] for k in range(N + 1)]
+        panels = [(xs, ws, np.array([f(float(x)) for x in xs]))
+                  for xs, ws in approx._quad_nodes(singular_at_zero)]
+        a = []
+        for k in range(N + 1):
+            total = 0.0
+            for xs, ws, fv in panels:
+                pv = np.zeros_like(xs)
+                for j in range(N, -1, -1):
+                    pv = pv * xs + L[k][j]
+                total += math.fsum(ws * fv * pv)
+            a.append(Fraction((2 * k + 1) * total))
+        T = approx.legendre_to_boubaker_int(N).tolist()
+        return np.array([float(sum(t * ak for t, ak in zip(row, a))) for row in T])
+
+    @pytest.mark.parametrize("N", [2, 8, 15])
+    @pytest.mark.parametrize("f,singular", [
+        (lambda x: math.exp(x) * math.cos(3 * x), False),
+        (lambda x: x ** 0.3 * (1 + x), True),
+    ])
+    def test_project_legendre_bit_equal_to_per_row_loop(self, N, f, singular):
+        basis = build_basis(N)
+        got = approx._project_legendre(f, basis, singular)
+        want = self._project_legendre_per_row(f, basis, singular)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestL2Error:

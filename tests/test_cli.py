@@ -12,7 +12,7 @@ import pytest
 import fracemden
 from fracemden import approx, fraccalc
 from fracemden.cli import main, poly_str
-from fracemden.polybasis import boubaker_polynomial, build_basis, eval_basis
+from fracemden.polybasis import boubaker_polynomial, build_basis, build_M_int, eval_basis
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
 SRC_DIR = os.path.dirname(os.path.dirname(fracemden.__file__))
@@ -61,6 +61,26 @@ class TestBasisCommand:
         code, _ = run("basis", "--n", "16")
         assert code == 2
         assert "condition" in capsys.readouterr().err
+
+    def test_forced_degree_prints_exact_integers(self):
+        # from N = 36 on some coefficients exceed 1e6; each must print in full
+        code, out = run("basis", "--n", "40", "--force")
+        assert code == 0
+        assert "- 1553472*x^26 " in out
+        lines = out.splitlines()
+        assert lines[41] == "M ="
+        term = re.compile(r"(-?)(\d+)?\*?(x(?:\^(\d+))?)?")
+        rows = []
+        for n, line in enumerate(lines[:41]):
+            name, poly = line.split(" = ")
+            assert name == f"B_{n}"
+            row = [0] * 41
+            for text in poly.replace("- ", "-").replace("+ ", "").split():
+                sign, mag, var, power = term.fullmatch(text).groups()
+                row[int(power or 1) if var else 0] = int(mag or 1) * (-1 if sign else 1)
+            rows.append(row)
+        assert rows == build_M_int(40).tolist()
+        assert [list(map(int, line.split())) for line in lines[42:]] == rows
 
     def test_force_overrides_cap(self):
         code, out = run("basis", "--n", "16", "--force")
@@ -148,6 +168,22 @@ class TestSolveCommand:
         code, _ = run("solve", str(bad), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "h" in capsys.readouterr().err
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        prob = tmp_path / "bom.prob"
+        with open(os.path.join(PROBLEMS_DIR, "lane_emden_n0.prob"), "rb") as fh:
+            prob.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        code, _ = run("solve", str(prob), "--out", str(tmp_path / "o"))
+        assert code == 0
+
+    def test_non_utf8_file_exit2_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.prob"
+        bad.write_bytes(b"alpha = 1\xff\n")
+        code, _ = run("solve", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text")
+        assert "0xff" in err
 
     def test_missing_file_exit2(self, tmp_path, capsys):
         code, _ = run("solve", str(tmp_path / "nope.prob"), "--out", str(tmp_path / "o"))

@@ -79,6 +79,24 @@ class TestGram:
             for j in range(5):
                 assert Q[i, j] == pytest.approx(float(QF[i][j]), rel=1e-15)
 
+    @pytest.mark.parametrize("N", range(16))
+    def test_gram_fractions_is_the_definition(self, N):
+        # Q_ij = sum_k sum_l M_ik M_jl / (k + l + 1), term by term in Fractions
+        from fractions import Fraction
+
+        M = [[int(c) for c in boubaker_polynomial(n).coeffs] for n in range(N + 1)]
+        want = tuple(
+            tuple(
+                sum(Fraction(mi * mj, k + l + 1)
+                    for k, mi in enumerate(Mi) if mi for l, mj in enumerate(Mj) if mj)
+                for Mj in M
+            )
+            for Mi in M
+        )
+        got = gram_fractions(N)
+        assert got == want
+        assert {type(v) for row in got for v in row} == {Fraction}
+
 
 class TestLuSolve:
     def test_identity(self):

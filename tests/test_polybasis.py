@@ -11,6 +11,8 @@ from fracemden.polybasis import (
     boubaker_recurrence_check,
     build_basis,
     build_M,
+    build_M_int,
+    legendre_shifted_int,
     eval_basis,
     eval_series,
 )
@@ -143,6 +145,28 @@ class TestBuildM:
         for n in range(7):
             p = boubaker_polynomial(n)
             np.testing.assert_array_equal(M[n, : n + 1], p.coeffs)
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("table", [build_M_int, legendre_shifted_int])
+    @pytest.mark.parametrize("N", [0, 15, 40])
+    def test_cached_read_only_python_ints(self, table, N):
+        T = table(N)
+        assert T is table(N)
+        assert T.shape == (N + 1, N + 1) and T.dtype == object
+        assert {type(v) for v in T.flat} == {int}
+        with pytest.raises(ValueError):
+            T[0, 0] = 7
+
+    @pytest.mark.parametrize("N", [0, 15, 40])
+    def test_values(self, N):
+        for n, row in enumerate(build_M_int(N).tolist()):
+            assert row[: n + 1] == [boubaker_coefficient(n, (n - k) // 2)
+                                    if (n - k) % 2 == 0 else 0 for k in range(n + 1)]
+            assert not any(row[n + 1:])
+        for k, row in enumerate(legendre_shifted_int(N).tolist()):
+            assert row == [(-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j)
+                           if j <= k else 0 for j in range(N + 1)]
 
 
 class TestBasis:

@@ -8,6 +8,7 @@ from fracemden.problems import (
     exp_square,
     lane_emden,
     mixed_power,
+    parse_problem_file,
     parse_problem_text,
     shifted_power,
 )
@@ -96,6 +97,22 @@ class TestParsing:
         # '#' inside a quoted expression is not a comment
         text = GOOD.replace('s      = "1"', 's = "1" # real comment')
         assert parse_problem_text(text).problem is not None
+
+
+class TestProblemFile:
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.prob"
+        text = GOOD.split("\n", 1)[1]  # the first key opens the file
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        spec = parse_problem_file(path)
+        assert spec.problem.alpha == 1.0 and spec.N == 3
+
+    def test_non_utf8_byte_is_a_problem_file_error(self, tmp_path):
+        path = tmp_path / "latin1.prob"
+        path.write_bytes(GOOD.replace("# a comment line", "# caf\xe9").encode("latin-1"))
+        with pytest.raises(ProblemFileError, match="not UTF-8") as err:
+            parse_problem_file(path)
+        assert err.value.line == 0
 
 
 class TestBuiltins:
