@@ -152,6 +152,7 @@ def cmd_solve(args, out) -> int:
     ]
     for w in report.warnings:
         lines.append(f"warning: {w}")
+    max_err = None
     if report.error_table is not None:
         lines.append("")
         lines.append("x approx exact abs_error")
@@ -182,8 +183,7 @@ def cmd_solve(args, out) -> int:
 
     print(f"solved: N={spec.N}, {report.newton_iters} Newton iteration(s), "
           f"residual_inf = {report.residual_inf:.3e}", file=out)
-    if report.error_table is not None:
-        max_err = max(row[3] for row in report.error_table)
+    if max_err is not None:
         print(f"max abs error vs exact = {max_err:.3e}", file=out)
     print(f"artifacts written to {args.out}", file=out)
     return EXIT_OK
@@ -217,39 +217,34 @@ def _solve_errors(problem, N, grid):
 
 
 def _reproduce_error_table(name, cases, grid, reference, out_dir, out):
-    """cases: list of (row_label, problem, N); reference: label -> tuple."""
-    comp_rows = []
+    """cases: list of (row_label, problem, N); reference: label -> tuple, or
+    None where no digits were published, which writes the raw table only."""
     raw_rows = []
-    statuses = []
+    comp_rows = []
     for label, problem, N in cases:
         errs = _solve_errors(problem, N, grid)
-        ref_row = reference[label]
-        for x, e, r in zip(grid, errs, ref_row):
-            status = _error_status(e, r)
-            statuses.append(status)
-            ratio = "" if r == 0 else format(e / r, ".3g")
-            raw_rows.append([str(label), _f17(x), _f17(e)])
-            comp_rows.append(
-                [str(label), _f17(x), _f17(e), _f17(r), ratio, status]
-            )
+        raw_rows.extend([str(label), _f17(x), _f17(e)] for x, e in zip(grid, errs))
+        if reference is not None:
+            for x, e, r in zip(grid, errs, reference[label]):
+                ratio = "" if r == 0 else format(e / r, ".3g")
+                comp_rows.append([str(label), _f17(x), _f17(e), _f17(r), ratio,
+                                  _error_status(e, r)])
     _write_csv(
         os.path.join(out_dir, f"{name}.csv"),
         ["case", "x", "abs_error"],
         raw_rows,
     )
+    if reference is None:
+        print(f"{name}: written (no published digits at this degree)", file=out)
+        return
     _write_csv(
         os.path.join(out_dir, f"{name}_comparison.csv"),
         ["case", "x", "computed", "reference", "ratio", "status"],
         comp_rows,
     )
-    agree = sum(1 for s in statuses if s == "agree")
-    better = sum(1 for s in statuses if s == "better")
-    worse = sum(1 for s in statuses if s == "worse")
-    print(
-        f"{name}: {agree} agree, {better} better, {worse} worse "
-        f"(of {len(statuses)} cells)",
-        file=out,
-    )
+    statuses = [row[-1] for row in comp_rows]
+    counts = ", ".join(f"{statuses.count(s)} {s}" for s in ("agree", "better", "worse"))
+    print(f"{name}: {counts} (of {len(statuses)} cells)", file=out)
 
 
 def _reproduce_table1(out_dir, out):
@@ -304,40 +299,25 @@ def _reproduce_table3(out_dir, out):
     print(refdata.IC_NOTE, file=out)
     print(refdata.FRACTIONAL_NOTE, file=out)
     # the published caption and text disagree on the degree; run both
-    for N, tag, compare in ((5, "table3_m5", True), (4, "table3_m4", False)):
+    for N, tag, reference in ((5, "table3_m5", refdata.TABLE3["columns"]),
+                              (4, "table3_m4", None)):
         cases = [(a, problems.mixed_power(a), N) for a in (0.7, 0.8, 1.0)]
-        if compare:
-            _reproduce_error_table(tag, cases, grid,
-                                   refdata.TABLE3["columns"], out_dir, out)
-        else:
-            raw = []
-            for label, problem, n in cases:
-                errs = _solve_errors(problem, n, grid)
-                raw.extend([str(label), _f17(x), _f17(e)]
-                           for x, e in zip(grid, errs))
-            _write_csv(os.path.join(out_dir, f"{tag}.csv"),
-                       ["case", "x", "abs_error"], raw)
-            print(f"{tag}: written (no published digits at this degree)", file=out)
+        _reproduce_error_table(tag, cases, grid, reference, out_dir, out)
 
 
 def _reproduce_fig3(out_dir, out):
     from . import problems, solver
 
     problem = problems.exp_square()
-    grid = np.linspace(0.0, 1.0, 101)
-    solved = {}
+    grid = np.linspace(0.0, 1.0, 101).tolist()
+    exact = list(map(problem.compiled.exact, grid))
+    solved, err = {}, {}
     for N in (4, 6):
         solved[N] = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
-    rows = []
-    max_err = {4: 0.0, 6: 0.0}
-    for i, x in enumerate(grid):
-        ex = math.exp(float(x) ** 2)
-        e4 = abs(solved[4][i] - ex)
-        e6 = abs(solved[6][i] - ex)
-        max_err[4] = max(max_err[4], e4)
-        max_err[6] = max(max_err[6], e6)
-        rows.append([_f17(x), _f17(solved[4][i]), _f17(solved[6][i]),
-                     _f17(ex), _f17(e4), _f17(e6)])
+        err[N] = [abs(u - ex) for u, ex in zip(solved[N], exact)]
+    rows = [list(map(_f17, row))
+            for row in zip(grid, solved[4], solved[6], exact, err[4], err[6])]
+    max_err = {N: max(e) for N, e in err.items()}
     _write_csv(
         os.path.join(out_dir, "fig3_data.csv"),
         ["x", "u_N4", "u_N6", "exact", "abs_err_N4", "abs_err_N6"],

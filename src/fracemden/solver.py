@@ -22,20 +22,21 @@ constant subtrees, such as the Gamma terms of a manufactured forcing,
 folded; each point still goes through the same libm calls in the same
 order, so values are bit-identical to walking the expression trees.
 
-What does not depend on the problem is built once per key and cached:
-per degree bound N one record of the basis, the collocation points, Phi,
-B(0), the basis at the error-table points and the Gram condition
-estimate, which assemble_residual reads too; per (alpha, N) the
-operational matrices of orders alpha and 2 alpha and the affine pieces
-Phi D_2alpha^T, Phi D_alpha^T and D_alpha B(0).  Every cached array is
-read-only.  A solve then applies only what belongs to its problem: the
-damping lambda / x^alpha, s and h.
+What does not depend on the problem is one read-only collocation record
+per (alpha, N): the points, Phi, the affine rows Phi D_2alpha^T and
+Phi D_alpha^T, the initial-condition rows [B(0); D_alpha B(0)], the basis
+at the error-table points and the Gram condition estimate.  One builder
+makes it from N and the two operational matrices; solve caches it per
+key, on a grid cached per N, and assemble_residual builds it from the
+matrices it is given.  The Newton loop reads nothing else, and applies
+only what belongs to its problem: the damping lambda / x^alpha, s and h.
 
-lambda, a, b and tol must be finite, and a start point whose residual is
-not finite raises SolverError naming the point: Newton's stop test cannot
-see a NaN.  A stop level that overflows (a = 1e308, say) raises SolverError
-naming the row whose scale overflowed, since it would accept any residual,
-and so does a Newton step that is not finite (b = 1e308, say).
+lambda, a, b and tol must be finite.  An s(x) that is not finite at a
+collocation point, and a start point whose residual is not finite, raise
+SolverError naming the point: Newton's stop test cannot see a NaN.  A stop
+level that overflows (a = 1e308, say) raises SolverError naming the row
+whose scale overflowed, since it would accept any residual, and so does a
+Newton step that is not finite (b = 1e308, say).
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ CONDITION_WARNING_THRESHOLD = 1e12
 # [0.7, 1) stops after its one exact step.
 ROUNDING_FLOOR_FACTOR = 4
 _EPS = float(np.finfo(float).eps)
-# (alpha, N) keys whose operators stay cached; each entry holds a few
-# (N+1)-square arrays.
-_OPERATOR_CACHE_SIZE = 32
+# (alpha, N) keys whose collocation records stay cached; each holds a few
+# (N+1)-wide arrays.
+_COLLOCATION_CACHE_SIZE = 32
 # points of a solve's error table
 _TABLE_XS = tuple(k / 10.0 for k in range(1, 11))
 
@@ -190,26 +191,17 @@ def _eval_all(f, name: str, values, where: str) -> list:
         raise
 
 
-class _Degree(NamedTuple):
-    """What a solve takes from the degree bound N alone."""
+class _Collocation(NamedTuple):
+    """What the Newton loop reads of one (alpha, N) key."""
 
-    basis: BoubakerBasis
     pts: tuple[float, ...]  # interior collocation points, descending
     x: np.ndarray  # the same points as an array
     Phi: np.ndarray  # row k is B(x_k)
-    B0: np.ndarray  # B(0)
-    cond_Q: float  # condition estimate of the Gram matrix
-    table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
-
-
-class _Operators(NamedTuple):
-    """The affine pieces that depend on (alpha, N) alone."""
-
-    D_alpha: OperationalMatrix
-    D_2alpha: OperationalMatrix
     P2: np.ndarray  # Phi D_2alpha^T: D^(2alpha) of each basis function at x_k
     P1: np.ndarray  # Phi D_alpha^T
-    ic: np.ndarray  # D_alpha B(0): the row of the condition D^(alpha) u(0) = b
+    ic: np.ndarray  # [B(0); D_alpha B(0)]: the rows of u(0) = a, D^(alpha) u(0) = b
+    table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
+    cond_Q: float  # condition estimate of the Gram matrix
 
 
 class _System(NamedTuple):
@@ -222,55 +214,48 @@ class _System(NamedTuple):
     rhs: np.ndarray  # [h(x_k); a; b]
 
 
-def _operators(
-    degree: _Degree, D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix
-) -> _Operators:
-    return _Operators(
-        D_alpha, D_2alpha, degree.Phi @ D_2alpha.D.T, degree.Phi @ D_alpha.D.T,
-        D_alpha.D @ degree.B0,
-    )
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 @lru_cache(maxsize=DEGREE_CAP + 1)
-def _cached_degree(N: int) -> _Degree:
-    """The read-only grid and error-table rows of degree N, with the Gram
-    condition estimate."""
+def _grid(N: int):
+    """The basis of degree N with its read-only points, Phi, B(0) and
+    error-table rows, and the Gram condition estimate."""
     basis = build_basis(N)
     pts = tuple(collocation_points(N))
-    degree = _Degree(
-        basis, pts, np.array(pts), eval_basis(pts, basis), eval_basis(0.0, basis),
-        linalg.condition_estimate(linalg.gram(basis)),
-        eval_basis(_TABLE_XS, basis),
+    arrays = (np.array(pts), eval_basis(pts, basis), eval_basis(0.0, basis),
+              eval_basis(_TABLE_XS, basis))
+    for a in arrays:
+        a.setflags(write=False)
+    return basis, pts, *arrays, linalg.condition_estimate(linalg.gram(basis))
+
+
+def _collocation(N: int, D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix) -> _Collocation:
+    """The read-only record of the degree-N grid and the operators D_alpha,
+    D_2alpha."""
+    _, pts, x, Phi, B0, table_rows, cond_Q = _grid(N)
+    affine = (Phi @ D_2alpha.D.T, Phi @ D_alpha.D.T, np.vstack([B0, D_alpha.D @ B0]))
+    for a in affine:
+        a.setflags(write=False)
+    return _Collocation(pts, x, Phi, *affine, table_rows, cond_Q)
+
+
+@lru_cache(maxsize=_COLLOCATION_CACHE_SIZE)
+def _cached_collocation(alpha: float, N: int) -> _Collocation:
+    basis = _grid(N)[0]
+    return _collocation(
+        N, fraccalc.build_D(alpha, basis), fraccalc.build_D(2.0 * alpha, basis)
     )
-    _read_only(degree.x, degree.Phi, degree.B0, degree.table_rows)
-    return degree
 
 
-@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _cached_operators(alpha: float, N: int) -> _Operators:
-    """The read-only operators of order alpha on the degree-N grid."""
-    degree = _cached_degree(N)
-    ops = _operators(
-        degree,
-        fraccalc.build_D(alpha, degree.basis),
-        fraccalc.build_D(2.0 * alpha, degree.basis),
-    )
-    _read_only(ops.P2, ops.P1, ops.ic)
-    return ops
-
-
-def _assemble(problem: EmdenFowlerProblem, degree: _Degree, ops: _Operators) -> _System:
-    damping = problem.lam / degree.x ** problem.alpha
-    A = np.vstack([ops.P2 + damping[:, None] * ops.P1, degree.B0, ops.ic])
+def _assemble(problem: EmdenFowlerProblem, col: _Collocation) -> _System:
     f = problem.compiled
-    s = np.array(_eval_all(f.s, "x", degree.pts, "s(x)"))
-    rhs = np.array(_eval_all(f.h, "x", degree.pts, "h(x)") + [problem.a, problem.b])
-    return _System(A, np.abs(A), degree.Phi, s, rhs)
+    s = _eval_all(f.s, "x", col.pts, "s(x)")
+    if not all(map(math.isfinite, s)):
+        # refused before s * g(Phi C) could warn of inf * 0
+        k = next(k for k, v in enumerate(s) if not math.isfinite(v))
+        raise SolverError(f"s(x) = {s[k]} at collocation point x = {col.pts[k]!r} is not finite")
+    damping = problem.lam / col.x ** problem.alpha
+    A = np.vstack([col.P2 + damping[:, None] * col.P1, col.ic])
+    rhs = np.array(_eval_all(f.h, "x", col.pts, "h(x)") + [problem.a, problem.b])
+    return _System(A, np.abs(A), col.Phi, np.array(s), rhs)
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
@@ -329,11 +314,11 @@ def assemble_residual(
 
     Entries 0..N-2 are the collocation residuals (left side minus h) at the
     interior points in descending order; entry N-1 is u(0) - a and entry N
-    is D^(alpha) u(0) - b.  The grid is solve's cached one for basis.N, so
-    a basis above DEGREE_CAP is refused here too.
+    is D^(alpha) u(0) - b.  The record is built, not cached, from the
+    matrices given, on solve's cached grid for basis.N, so a basis above
+    DEGREE_CAP is refused here too.
     """
-    degree = _cached_degree(basis.N)
-    system = _assemble(problem, degree, _operators(degree, D_alpha, D_2alpha))
+    system = _assemble(problem, _collocation(basis.N, D_alpha, D_2alpha))
     return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
@@ -357,10 +342,10 @@ def solve(
     reported residual_inf is the true residual, never the floor.  The
     Jacobian is exact, so a linear g takes one Newton step.
 
-    The basis, its collocation grid, the error-table rows and the Gram
-    condition are built once per N, and the operational matrices of orders
-    alpha and 2 alpha with their products on that grid once per (alpha, N);
-    they are cached as read-only arrays, so a repeated key builds no matrix.
+    The collocation record of (alpha, N) -- points, Phi, the affine rows of
+    the operators of orders alpha and 2 alpha, the IC rows and the
+    error-table rows -- is built once per key from a grid built once per N,
+    and cached read-only, so a repeated key builds no matrix.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
@@ -368,8 +353,8 @@ def solve(
         raise ValueError(f"tol must be finite, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    degree = _cached_degree(N)
-    system = _assemble(problem, degree, _cached_operators(problem.alpha, N))
+    col = _cached_collocation(problem.alpha, N)
+    system = _assemble(problem, col)
 
     C = np.zeros(N + 1)
     C[0] = problem.a
@@ -380,11 +365,11 @@ def solve(
         k = int(np.flatnonzero(~np.isfinite(r))[0])
         raise SolverError(
             f"residual {r[k]} at the start point u = a, at collocation point "
-            f"x = {degree.pts[k]!r}: its terms are A C = {(system.A @ C)[k]}, "
+            f"x = {col.pts[k]!r}: its terms are A C = {(system.A @ C)[k]}, "
             f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
         )
     iters = 0
-    while rnorm > _stop_level(system, sg, C, tol, degree.pts):
+    while rnorm > _stop_level(system, sg, C, tol, col.pts):
         if iters >= max_iters:
             raise NonConvergenceError(rnorm, iters)
         J = _jacobian(problem, system, C)
@@ -413,7 +398,7 @@ def solve(
         C, r, sg, rnorm = Cn, rn, sgn, rn_norm
         iters += 1
 
-    cond_q = degree.cond_Q
+    cond_q = col.cond_Q
     warnings = ()
     if cond_q > CONDITION_WARNING_THRESHOLD:
         warnings = (
@@ -426,14 +411,14 @@ def solve(
     if problem.exact is not None:
         rows = []
         exact = _eval_all(problem.compiled.exact, "x", _TABLE_XS, "exact(x)")
-        for x, bx, exact_val in zip(_TABLE_XS, degree.table_rows, exact):
+        for x, bx, exact_val in zip(_TABLE_XS, col.table_rows, exact):
             approx = float(C @ bx)
             rows.append((x, approx, exact_val, abs(approx - exact_val)))
         error_table = tuple(rows)
 
     return SolveReport(
         C=C,
-        points=degree.pts,
+        points=col.pts,
         newton_iters=iters,
         residual_inf=rnorm,
         cond_Q=cond_q,

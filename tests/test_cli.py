@@ -230,13 +230,14 @@ class TestSolveCommand:
     @pytest.mark.parametrize("line,code,cause", [
         ("lambda = nan", 2, "lambda must be finite, got nan"),
         ('h = "1e308*10 - 1e308*10"', 1, "residual nan at the start point"),
+        ('s = "1e308*10"', 1, "s(x) = inf at collocation point x = 0.8535533905932737"),
         ("tol = nan", 2, "tol must be finite, got nan"),
         ("a = 1e308", 1, "stop level overflows"),
         ("b = 1e308", 1, "Newton step not finite at iteration 0"),
         ('h = "sin(1e308*10*x)"', 1,
          "expression evaluation failed: sin of inf is undefined"
          " while evaluating h(x) at x=0.8535533905932737 in 'sin(1e+308*10*x)'"),
-    ], ids=["lambda", "h", "tol", "overflow", "step", "sin_of_inf"])
+    ], ids=["lambda", "h", "s", "tol", "overflow", "step", "sin_of_inf"])
     def test_non_finite_input_fails_naming_its_cause(self, tmp_path, capsys, line, code, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "4"}

@@ -209,6 +209,17 @@ class TestNonFiniteInput:
         with pytest.raises(SolverError, match=f"residual nan .* x = {x0!r}: .* h\\(x\\) = nan"):
             solve(problem, 4)
 
+    def test_non_finite_s_names_itself_before_any_product(self):
+        # s(x) g(a) = inf * 0 used to warn and then blame a NaN residual
+        problem = _with(lane_emden(1), s=expr.parse("1e308*10", {"x"}),
+                        g=expr.parse("u - 1", {"u"}), a=1.0)
+        x0 = collocation_points(4)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=f"^s\\(x\\) = inf at collocation point x = {x0!r} is not finite$"):
+                solve(problem, 4)
+
     def test_overflowing_stop_level_names_its_scale(self):
         # |A||C| + |rhs| of the row u(0) = a is 2e308: an infinite stop level
         # would accept the start point's residual of 1e308 as converged
@@ -300,8 +311,8 @@ def _cubic(alpha=0.9, lam=1.0, a=1.0, c=0.25):
 
 
 def _clear_caches():
-    solver._cached_degree.cache_clear()
-    solver._cached_operators.cache_clear()
+    solver._grid.cache_clear()
+    solver._cached_collocation.cache_clear()
 
 
 class TestOperatorCache:
@@ -323,10 +334,12 @@ class TestOperatorCache:
     def test_cached_arrays_refuse_writes(self):
         problem = _cubic()
         solve(problem, 6)
-        degree = solver._cached_degree(6)
-        ops = solver._cached_operators(problem.alpha, 6)
-        arrays = (degree.x, degree.Phi, degree.B0, degree.table_rows,
-                  ops.D_alpha.D, ops.D_2alpha.D, ops.P2, ops.P1, ops.ic)
+        basis, _, x, Phi, B0, table_rows, _ = solver._grid(6)
+        col = solver._cached_collocation(problem.alpha, 6)
+        D1 = fraccalc.build_D(problem.alpha, basis)
+        D2 = fraccalc.build_D(2.0 * problem.alpha, basis)
+        arrays = (x, Phi, B0, table_rows, D1.D, D2.D,
+                  col.x, col.Phi, col.P2, col.P1, col.ic, col.table_rows)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a.copy()  # same values: a failing check corrupts nothing
@@ -364,6 +377,23 @@ class TestOperatorCache:
         after = solve(problem, N)
         assert np.array_equal(after.C, before.C)
         assert after.residual_inf == before.residual_inf
+
+    def test_assemble_residual_builds_the_cached_record(self, monkeypatch):
+        problem, N = _cubic(), 6
+        _clear_caches()
+        cached = solver._cached_collocation(problem.alpha, N)
+        records, assemble = [], solver._assemble
+        monkeypatch.setattr(solver, "_assemble",
+                            lambda p, col: records.append(col) or assemble(p, col))
+        basis, D1, D2 = _matrices(problem, N)
+        assemble_residual(problem, basis, D1, D2, np.zeros(N + 1))
+        [built] = records
+        assert built is not cached
+        for name, a, b in zip(solver._Collocation._fields, built, cached):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), name
+            else:
+                assert a == b, name
 
     def test_assemble_residual_warm_equals_cold(self):
         problem, N = _cubic(), 6
@@ -406,7 +436,7 @@ def test_lane_emden_sweep_converges(n, alpha, N):
 class TestCompiledExpressions:
     def test_constant_gamma_terms_of_h_are_evaluated_once(self, monkeypatch):
         problem = mixed_power(0.7)
-        solver._cached_operators(0.7, 10)  # the Caputo matrices call gamma too
+        solver._cached_collocation(0.7, 10)  # the Caputo matrices call gamma too
         calls = []
         gamma = math.gamma
         monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
