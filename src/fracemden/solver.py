@@ -22,14 +22,15 @@ constant subtrees, such as the Gamma terms of a manufactured forcing,
 folded; each point still goes through the same libm calls in the same
 order, so values are bit-identical to walking the expression trees.
 
-What does not depend on the problem is one read-only collocation record
-per (alpha, N): the points, Phi, the affine rows Phi D_2alpha^T and
-Phi D_alpha^T, the initial-condition rows [B(0); D_alpha B(0)], the basis
-at the error-table points and the Gram condition estimate.  One builder
-makes it from N and the two operational matrices; solve caches it per
-key, on a grid cached per N, and assemble_residual builds it from the
-matrices it is given.  The Newton loop reads nothing else, and applies
-only what belongs to its problem: the damping lambda / x^alpha, s and h.
+What does not depend on the problem is cached read-only: one collocation
+record per (alpha, N) -- the points, Phi, the affine rows Phi D_2alpha^T
+and Phi D_alpha^T, the initial-condition rows [B(0); D_alpha B(0)], the
+basis at the error-table points and the Gram condition estimate -- on a
+grid cached per N, and the affine operator A and |A| per (alpha, N,
+lambda); one builder makes each, and assemble_residual builds both,
+uncached, from the matrices it is given.  A solve then evaluates s, h and
+|rhs| once, u = Phi C once per Newton iterate for both r and J, and the
+stop level's rounding floor only while the residual is above tol.
 
 lambda, a, b and tol must be finite.  An s(x) that is not finite at a
 collocation point, and a start point whose residual is not finite, raise
@@ -212,6 +213,7 @@ class _System(NamedTuple):
     Phi: np.ndarray  # row k is B(x_k) at collocation point k
     s: np.ndarray  # s(x_k)
     rhs: np.ndarray  # [h(x_k); a; b]
+    abs_rhs: np.ndarray  # |rhs|, for the stop level
 
 
 @lru_cache(maxsize=DEGREE_CAP + 1)
@@ -245,31 +247,44 @@ def _cached_collocation(alpha: float, N: int) -> _Collocation:
     )
 
 
-def _assemble(problem: EmdenFowlerProblem, col: _Collocation) -> _System:
+def _affine(col: _Collocation, alpha: float, lam: float):
+    """Read-only A = [P2 + diag(lam / x^alpha) P1; ic] of col, and |A|."""
+    damping = lam / col.x ** alpha
+    A = np.vstack([col.P2 + damping[:, None] * col.P1, col.ic])
+    affine = (A, np.abs(A))
+    for a in affine:
+        a.setflags(write=False)
+    return affine
+
+
+@lru_cache(maxsize=_COLLOCATION_CACHE_SIZE)
+def _cached_affine(alpha: float, N: int, lam: float):
+    return _affine(_cached_collocation(alpha, N), alpha, lam)
+
+
+def _assemble(problem: EmdenFowlerProblem, col: _Collocation, affine: tuple) -> _System:
     f = problem.compiled
     s = _eval_all(f.s, "x", col.pts, "s(x)")
     if not all(map(math.isfinite, s)):
         # refused before s * g(Phi C) could warn of inf * 0
         k = next(k for k, v in enumerate(s) if not math.isfinite(v))
         raise SolverError(f"s(x) = {s[k]} at collocation point x = {col.pts[k]!r} is not finite")
-    damping = problem.lam / col.x ** problem.alpha
-    A = np.vstack([col.P2 + damping[:, None] * col.P1, col.ic])
     rhs = np.array(_eval_all(f.h, "x", col.pts, "h(x)") + [problem.a, problem.b])
-    return _System(A, np.abs(A), col.Phi, np.array(s), rhs)
+    return _System(*affine, col.Phi, np.array(s), rhs, np.abs(rhs))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
-    """r(C) and its nonlinear part s * g(Phi C)."""
-    g = _eval_all(problem.compiled.g, "u", (system.Phi @ C).tolist(), "g(u)")
-    sg = system.s * np.array(g)
+    """r(C), its nonlinear part s * g(Phi C), and u = Phi C as a list."""
+    u = (system.Phi @ C).tolist()
+    sg = system.s * np.array(_eval_all(problem.compiled.g, "u", u, "g(u)"))
     r = system.A @ C - system.rhs
     r[: sg.size] += sg
-    return r, sg
+    return r, sg, u
 
 
-def _jacobian(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
-    """Exact J = A + [diag(s * g'(Phi C)) Phi; 0; 0]."""
-    duals = _eval_all(problem.compiled.g_dual, "u", (system.Phi @ C).tolist(), "g(u)")
+def _jacobian(problem: EmdenFowlerProblem, system: _System, u: list):
+    """Exact J = A + [diag(s * g'(u)) Phi; 0; 0] at u = Phi C."""
+    duals = _eval_all(problem.compiled.g_dual, "u", u, "g(u)")
     dg = [d for _, d in duals]
     J = system.A.copy()
     J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.Phi
@@ -286,7 +301,7 @@ def _stop_level(
     """
     with np.errstate(over="ignore"):
         AC = system.absA @ np.abs(C)
-        scale = AC + np.abs(system.rhs)
+        scale = AC + system.abs_rhs
         scale[: sg.size] += np.abs(sg)
     top = float(scale.max())
     if not math.isfinite(top):
@@ -298,7 +313,7 @@ def _stop_level(
         sg_k = abs(sg[k]) if k < n else 0.0
         raise SolverError(
             f"stop level overflows: the residual scale |A||C| + |s g(Phi C)| + |rhs| "
-            f"at the {row} is {AC[k]} + {sg_k} + {abs(system.rhs[k])}"
+            f"at the {row} is {AC[k]} + {sg_k} + {system.abs_rhs[k]}"
         )
     return max(tol, ROUNDING_FLOOR_FACTOR * _EPS * top)
 
@@ -318,7 +333,8 @@ def assemble_residual(
     matrices given, on solve's cached grid for basis.N, so a basis above
     DEGREE_CAP is refused here too.
     """
-    system = _assemble(problem, _collocation(basis.N, D_alpha, D_2alpha))
+    col = _collocation(basis.N, D_alpha, D_2alpha)
+    system = _assemble(problem, col, _affine(col, problem.alpha, problem.lam))
     return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
@@ -342,10 +358,10 @@ def solve(
     reported residual_inf is the true residual, never the floor.  The
     Jacobian is exact, so a linear g takes one Newton step.
 
-    The collocation record of (alpha, N) -- points, Phi, the affine rows of
-    the operators of orders alpha and 2 alpha, the IC rows and the
-    error-table rows -- is built once per key from a grid built once per N,
-    and cached read-only, so a repeated key builds no matrix.
+    The collocation record of (alpha, N) and the affine operator A of
+    (alpha, N, lambda) are built once per key and cached read-only, so a
+    repeated key builds no matrix.  Each iterate forms Phi C once, for r
+    and J, and the floor is computed only while the residual is above tol.
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
@@ -354,11 +370,11 @@ def solve(
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     col = _cached_collocation(problem.alpha, N)
-    system = _assemble(problem, col)
+    system = _assemble(problem, col, _cached_affine(problem.alpha, N, problem.lam))
 
     C = np.zeros(N + 1)
     C[0] = problem.a
-    r, sg = _residual(problem, system, C)
+    r, sg, u = _residual(problem, system, C)
     rnorm = float(np.abs(r).max())
     if not math.isfinite(rnorm):
         # the initial-condition rows come to a - a and -b: k is a collocation row
@@ -369,10 +385,11 @@ def solve(
             f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
         )
     iters = 0
-    while rnorm > _stop_level(system, sg, C, tol, col.pts):
+    # the stop level is max(tol, floor): the floor matters only above tol
+    while rnorm > tol and rnorm > _stop_level(system, sg, C, tol, col.pts):
         if iters >= max_iters:
             raise NonConvergenceError(rnorm, iters)
-        J = _jacobian(problem, system, C)
+        J = _jacobian(problem, system, u)
         try:
             d = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as err:
@@ -388,14 +405,14 @@ def solve(
         t = 1.0
         for _ in range(30):
             Cn = C + t * d
-            rn, sgn = _residual(problem, system, Cn)
+            rn, sgn, un = _residual(problem, system, Cn)
             rn_norm = float(np.abs(rn).max())
             if rn_norm < rnorm:
                 break
             t *= 0.5
         else:
             raise NonConvergenceError(rnorm, iters + 1)
-        C, r, sg, rnorm = Cn, rn, sgn, rn_norm
+        C, r, sg, u, rnorm = Cn, rn, sgn, un, rn_norm
         iters += 1
 
     cond_q = col.cond_Q
@@ -440,23 +457,21 @@ def residual_certificate(
     error: at the collocation points of a converged solve the residual is
     at rounding level only if the matrices did their job.
     """
-    C = np.asarray(C, dtype=float)
-    mono = basis.M.T @ C  # monomial coefficients of C^T B
-    u_poly = GeneralizedPolynomial.from_terms(
-        (c, float(k)) for k, c in enumerate(mono)
-    )
-    d1 = fraccalc.caputo_polynomial(u_poly, problem.alpha)
-    d2 = fraccalc.caputo_polynomial(u_poly, 2.0 * problem.alpha)
+    xs = [float(x) for x in grid]
+    bad = [x for x in xs if not 0.0 < x <= 1.0]
+    if bad:
+        raise ValueError(f"grid point {bad[0]} outside (0, 1]")
+    mono = basis.M.T @ np.asarray(C, dtype=float)  # monomial coefficients of C^T B
+    u_poly = GeneralizedPolynomial.from_terms((c, float(k)) for k, c in enumerate(mono))
+    x = np.array(xs)
+    def on_grid(poly: GeneralizedPolynomial) -> np.ndarray:
+        # term by term in term order, as poly(x) sums them at each point
+        return sum((c * x ** e for c, e in poly.terms), np.zeros_like(x))
+    d1 = on_grid(fraccalc.caputo_polynomial(u_poly, problem.alpha))
+    d2 = on_grid(fraccalc.caputo_polynomial(u_poly, 2.0 * problem.alpha))
     f = problem.compiled
-    out = []
-    for x in grid:
-        x = float(x)
-        if not 0.0 < x <= 1.0:
-            raise ValueError(f"grid point {x} outside (0, 1]")
-        u = u_poly(x)
-        sval = _eval_all(f.s, "x", [x], "s(x)")[0]
-        gval = _eval_all(f.g, "u", [u], "g(u)")[0]
-        hval = _eval_all(f.h, "x", [x], "h(x)")[0]
-        resid = d2(x) + problem.lam / x ** problem.alpha * d1(x) + sval * gval - hval
-        out.append((x, resid))
-    return out
+    s = np.array(_eval_all(f.s, "x", xs, "s(x)"))
+    g = np.array(_eval_all(f.g, "u", on_grid(u_poly).tolist(), "g(u)"))
+    h = np.array(_eval_all(f.h, "x", xs, "h(x)"))
+    resid = d2 + problem.lam / x ** problem.alpha * d1 + s * g - h
+    return list(zip(xs, resid.tolist()))

@@ -276,6 +276,27 @@ class TestExactNewton:
         assert solve(mixed_power(0.8), 10).newton_iters == 1
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "problem,N,iters,floor_calls",
+        [(lane_emden(5, 0.8), 10, 4, 4), (lane_emden(1, 0.6), 12, 1, 2)],
+        ids=["below_tol", "floor_stop"],
+    )
+    def test_floor_computed_only_above_tol(self, monkeypatch, problem, N, iters, floor_calls):
+        # the stop level is max(tol, floor): below_tol ends at 9.3e-12 <= tol
+        # with no floor for its last iterate; floor_stop accepts 1.5e-8 > tol
+        # on the floor, so it still computes it
+        tol, levels, stop_level = 1e-10, [], solver._stop_level
+        monkeypatch.setattr(solver, "_stop_level",
+                            lambda *args: levels.append(stop_level(*args)) or levels[-1])
+        report = solve(problem, N, tol=tol)
+        assert (report.newton_iters, len(levels)) == (iters, floor_calls)
+        if floor_calls == iters:
+            assert report.residual_inf <= tol
+        else:
+            assert tol < report.residual_inf <= levels[-1]
+        monkeypatch.undo()
+        assert report.C.tobytes() == solve(problem, N, tol=tol).C.tobytes()
+
     def test_missing_derivative_is_an_eval_error(self):
         problem = EmdenFowlerProblem(
             alpha=1.0, lam=2.0, s=expr.parse("1", {"x"}),
@@ -313,23 +334,31 @@ def _cubic(alpha=0.9, lam=1.0, a=1.0, c=0.25):
 def _clear_caches():
     solver._grid.cache_clear()
     solver._cached_collocation.cache_clear()
+    solver._cached_affine.cache_clear()
 
 
 class TestOperatorCache:
     @pytest.mark.parametrize(
-        "problem,N",
-        [(lane_emden(5), 8), (mixed_power(0.7), 10), (_cubic(), 6)],
-        ids=["lane_emden5", "mixed_power07", "cubic"],
+        "problems,N",
+        [([lane_emden(5)], 8), ([mixed_power(0.7)], 10), ([_cubic()], 6),
+         # one (alpha, N) key, two lambdas: lambda is part of A's key
+         ([_cubic(lam=0.5), _cubic(lam=2.0)], 6)],
+        ids=["lane_emden5", "mixed_power07", "cubic", "cubic_two_lambdas"],
     )
-    def test_warm_solve_equals_cold(self, problem, N):
-        _clear_caches()
-        cold = solve(problem, N)
-        warm = solve(problem, N)
-        assert np.array_equal(cold.C, warm.C)
-        assert cold.residual_inf == warm.residual_inf
-        assert cold.error_table is not None
-        assert np.array_equal(cold.error_table, warm.error_table)
-        assert cold.cond_Q == warm.cond_Q
+    def test_warm_solve_equals_cold(self, problems, N):
+        colds = []
+        for problem in problems:
+            _clear_caches()
+            colds.append(solve(problem, N))
+        for _ in range(2):  # the problems alternate on warm caches
+            for problem, cold in zip(problems, colds):
+                warm = solve(problem, N)
+                assert cold.C.tobytes() == warm.C.tobytes()
+                assert cold.newton_iters == warm.newton_iters
+                assert cold.residual_inf == warm.residual_inf
+                assert cold.error_table is not None
+                assert np.array_equal(cold.error_table, warm.error_table)
+                assert cold.cond_Q == warm.cond_Q
 
     def test_cached_arrays_refuse_writes(self):
         problem = _cubic()
@@ -338,8 +367,9 @@ class TestOperatorCache:
         col = solver._cached_collocation(problem.alpha, 6)
         D1 = fraccalc.build_D(problem.alpha, basis)
         D2 = fraccalc.build_D(2.0 * problem.alpha, basis)
+        A, absA = solver._cached_affine(problem.alpha, 6, problem.lam)
         arrays = (x, Phi, B0, table_rows, D1.D, D2.D,
-                  col.x, col.Phi, col.P2, col.P1, col.ic, col.table_rows)
+                  col.x, col.Phi, col.P2, col.P1, col.ic, col.table_rows, A, absA)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a.copy()  # same values: a failing check corrupts nothing
@@ -382,18 +412,23 @@ class TestOperatorCache:
         problem, N = _cubic(), 6
         _clear_caches()
         cached = solver._cached_collocation(problem.alpha, N)
+        cached_affine = solver._cached_affine(problem.alpha, N, problem.lam)
         records, assemble = [], solver._assemble
-        monkeypatch.setattr(solver, "_assemble",
-                            lambda p, col: records.append(col) or assemble(p, col))
+        monkeypatch.setattr(
+            solver, "_assemble",
+            lambda p, col, affine: records.append((col, affine)) or assemble(p, col, affine),
+        )
         basis, D1, D2 = _matrices(problem, N)
         assemble_residual(problem, basis, D1, D2, np.zeros(N + 1))
-        [built] = records
-        assert built is not cached
+        [(built, affine)] = records
+        assert built is not cached and affine is not cached_affine
         for name, a, b in zip(solver._Collocation._fields, built, cached):
             if isinstance(a, np.ndarray):
                 assert a.tobytes() == b.tobytes(), name
             else:
                 assert a == b, name
+        for a, b in zip(affine, cached_affine):
+            assert a.tobytes() == b.tobytes()
 
     def test_assemble_residual_warm_equals_cold(self):
         problem, N = _cubic(), 6
@@ -532,3 +567,20 @@ class TestResidualCertificate:
         basis = build_basis(2)
         with pytest.raises(ValueError):
             residual_certificate(problem, [1.0, 0.0, 0.0], basis, [0.0])
+
+    def test_grid_arrays_agree_with_per_point_evaluation(self):
+        # the whole-grid route against the per-point sum of each term;
+        # numpy's pow may differ from libm's in the last bit
+        problem, N = lane_emden(5, 0.7), 10
+        C, basis = solve(problem, N).C, build_basis(N)
+        grid = np.linspace(0.005, 1.0, 200)
+        u = fraccalc.GeneralizedPolynomial.from_terms(
+            (c, float(k)) for k, c in enumerate(basis.M.T @ C))
+        d1 = fraccalc.caputo_polynomial(u, problem.alpha)
+        d2 = fraccalc.caputo_polynomial(u, 2.0 * problem.alpha)
+        f = problem.compiled
+        rows = residual_certificate(problem, C, basis, grid)
+        assert [x for x, _ in rows] == grid.tolist()
+        for x, r in rows:
+            per_point = d2(x) + problem.lam / x ** problem.alpha * d1(x) + f.s(x) * f.g(u(x)) - f.h(x)
+            assert abs(r - per_point) <= 1e-11
