@@ -30,10 +30,12 @@ an overflow raises EvalError naming the subexpression.
 compile_expression (the value) and compile_with_derivative (the value and
 its derivative) turn a tree, in one pass over its nodes, into nested
 closures of one variable.  Subtrees free of it are evaluated then and
-folded into constants, unless they raise.  A call makes the same math.*
-calls and double operations, in the same order, as a walk of the tree, so
-values and errors are identical; evaluate and evaluate_with_derivative
-compile and call once.
+folded into constants, unless they raise.  A power whose exponent folds
+to a float b >= 0 (u^3, pow(u, 5)) becomes a closure of its base alone,
+with the checks of the power rules that read only b settled once, there.
+A call makes the same math.* calls and double operations, in the same
+order, as a walk of the tree, so values and errors are identical; evaluate
+and evaluate_with_derivative compile and call once.
 """
 
 from __future__ import annotations
@@ -331,6 +333,38 @@ def _power_dual(x, y, node):
     return v, _power_derivative(a, da, b, db, v, node)
 
 
+def _power_by(b: float, node: Expression, dual: bool):
+    """The value rule of a^b, or with dual its dual rule, for a constant
+    float b >= 0, as a function of a (or of (a, da)) alone.  It raises and
+    returns what _power and _power_dual do, with the checks on b alone made
+    here: b is never negative, b - 1 is an integer wherever a < 0 gets that
+    far, and a zero base reaches a^(b - 1) only with b >= 1."""
+    fractional = not b.is_integer()
+    b1 = b - 1
+
+    def value(a):
+        if a < 0 and fractional:
+            raise EvalError(f"fractional power of negative base ({a!r})^({b!r})", node)
+        try:
+            return a ** b
+        except OverflowError:
+            raise EvalError("overflow", node) from None
+
+    def pair(x):
+        a, da = x
+        v = value(a)
+        if not (da and b):
+            return v, 0.0
+        if a == 0 and b < 1:
+            raise EvalError("power has no derivative at a zero base", node)
+        try:
+            return v, 0.0 + b * a ** b1 * da
+        except OverflowError:
+            raise EvalError("overflow", node) from None
+
+    return pair if dual else value
+
+
 # value(*operand values, node) -> float and
 # dual(*(value, derivative) pairs, node) -> (value, derivative)
 _Rule = namedtuple("_Rule", "arity value dual")
@@ -427,7 +461,13 @@ def _compile(e: Expression, name: str | None, leaf, bindings: dict, dual: bool):
         else:
             b = _compile(operands[1], name, leaf, bindings, dual)
             if callable(a):
-                return (lambda v: op(a(v), b(v), e)) if callable(b) else (lambda v: op(a(v), b, e))
+                if callable(b):
+                    return lambda v: op(a(v), b(v), e)
+                exponent = b[0] if dual else b
+                if rule.value is _power and type(exponent) is float and exponent >= 0:
+                    power = _power_by(exponent, e, dual)
+                    return lambda v: power(a(v))
+                return lambda v: op(a(v), b, e)
             if callable(b):
                 return lambda v: op(a, b(v), e)
             args = (a, b, e)

@@ -26,11 +26,15 @@ What does not depend on the problem is cached read-only: one collocation
 record per (alpha, N) -- the points, Phi, the affine rows Phi D_2alpha^T
 and Phi D_alpha^T, the initial-condition rows [B(0); D_alpha B(0)], the
 basis at the error-table points and the Gram condition estimate -- on a
-grid cached per N, and the affine operator A and |A| per (alpha, N,
-lambda); one builder makes each, and assemble_residual builds both,
-uncached, from the matrices it is given.  A solve then evaluates s, h and
-|rhs| once, u = Phi C once per Newton iterate for both r and J, and the
-stop level's rounding floor only while the residual is above tol.
+grid cached per N, and the affine operator A, |A| and the largest row sum
+R of |A| per (alpha, N, lambda); one builder makes each, and
+assemble_residual builds both, uncached, from the matrices it is given.
+A solve then evaluates s, h, |rhs| and max|rhs| once, and u = Phi C once
+per Newton iterate for both r and J.  The stop level's rounding floor, an
+|A||C| product, is computed only where it can decide: while the residual
+is above tol and not already above the floor's upper bound
+4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
+the rounding of both, so every decision is the floor's own.
 
 lambda, a, b and tol must be finite.  An s(x) that is not finite at a
 collocation point, and a start point whose residual is not finite, raise
@@ -43,6 +47,7 @@ Newton step that is not finite (b = 1e308, say).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -63,6 +68,23 @@ CONDITION_WARNING_THRESHOLD = 1e12
 # [0.7, 1) stops after its one exact step.
 ROUNDING_FLOOR_FACTOR = 4
 _EPS = float(np.finfo(float).eps)
+# The floor's cheap upper bound is 4 eps M (R max|C| + max|s g| + max|rhs|),
+# with R the largest row sum of |A| and the margin M = 1 + 2^-40 (the
+# rounding bounds are those of Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., sec. 3.5).  With n = N + 1 columns, u = eps / 2 and
+# S the exact largest row sum of |A|:
+# - the floor's scale, |A||C| in any summation order plus two additions,
+#   is computed no larger than (1 + gamma_(n+2)) (S max|C| + max|s g| + max|rhs|);
+# - the bound's R (numpy's row sum) is at least (1 - gamma_(n-1)) S, and its
+#   two products and two sums lose at most a factor (1 - u)^3 on each term.
+# M covers both while (2n + 4) u is well below 2^-40: at DEGREE_CAP it is
+# 2^-47.8.  Rounding to nearest is monotone, so a finite M (...) bounds the
+# floor's scale, which then cannot overflow, and 4 eps M (...) bounds the
+# floor, 4 eps being a power of two.
+_FLOOR_BOUND_MARGIN = 1.0 + 2.0**-40
+# Below this the bound is not used: subnormal products of |A||C| round by
+# an absolute amount that the relative margin does not cover.
+_FLOOR_BOUND_MIN = float(np.finfo(float).tiny)
 # (alpha, N) keys whose collocation records stay cached; each holds a few
 # (N+1)-wide arrays.
 _COLLOCATION_CACHE_SIZE = 32
@@ -205,15 +227,25 @@ class _Collocation(NamedTuple):
     cond_Q: float  # condition estimate of the Gram matrix
 
 
+class _Affine(NamedTuple):
+    """The affine operator of one (alpha, N, lambda) key."""
+
+    A: np.ndarray  # N-1 collocation rows, then the two IC rows
+    absA: np.ndarray  # |A|, for the stop level
+    R: float  # the largest row sum of |A|, for the bound of the stop level
+
+
 class _System(NamedTuple):
     """The collocated system r(C) = A C + [s * g(Phi C); 0; 0] - rhs."""
 
     A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
     absA: np.ndarray  # |A|, for the stop level
+    R: float  # the largest row sum of |A|
     Phi: np.ndarray  # row k is B(x_k) at collocation point k
     s: np.ndarray  # s(x_k)
     rhs: np.ndarray  # [h(x_k); a; b]
     abs_rhs: np.ndarray  # |rhs|, for the stop level
+    rhs_max: float  # max |rhs|, for its bound
 
 
 @lru_cache(maxsize=DEGREE_CAP + 1)
@@ -247,22 +279,23 @@ def _cached_collocation(alpha: float, N: int) -> _Collocation:
     )
 
 
-def _affine(col: _Collocation, alpha: float, lam: float):
-    """Read-only A = [P2 + diag(lam / x^alpha) P1; ic] of col, and |A|."""
+def _affine(col: _Collocation, alpha: float, lam: float) -> _Affine:
+    """Read-only A = [P2 + diag(lam / x^alpha) P1; ic] of col, |A| and the
+    largest row sum of |A|."""
     damping = lam / col.x ** alpha
     A = np.vstack([col.P2 + damping[:, None] * col.P1, col.ic])
-    affine = (A, np.abs(A))
-    for a in affine:
+    absA = np.abs(A)
+    for a in (A, absA):
         a.setflags(write=False)
-    return affine
+    return _Affine(A, absA, float(absA.sum(axis=1).max()))
 
 
 @lru_cache(maxsize=_COLLOCATION_CACHE_SIZE)
-def _cached_affine(alpha: float, N: int, lam: float):
+def _cached_affine(alpha: float, N: int, lam: float) -> _Affine:
     return _affine(_cached_collocation(alpha, N), alpha, lam)
 
 
-def _assemble(problem: EmdenFowlerProblem, col: _Collocation, affine: tuple) -> _System:
+def _assemble(problem: EmdenFowlerProblem, col: _Collocation, affine: _Affine) -> _System:
     f = problem.compiled
     s = _eval_all(f.s, "x", col.pts, "s(x)")
     if not all(map(math.isfinite, s)):
@@ -270,7 +303,8 @@ def _assemble(problem: EmdenFowlerProblem, col: _Collocation, affine: tuple) -> 
         k = next(k for k, v in enumerate(s) if not math.isfinite(v))
         raise SolverError(f"s(x) = {s[k]} at collocation point x = {col.pts[k]!r} is not finite")
     rhs = np.array(_eval_all(f.h, "x", col.pts, "h(x)") + [problem.a, problem.b])
-    return _System(*affine, col.Phi, np.array(s), rhs, np.abs(rhs))
+    abs_rhs = np.abs(rhs)
+    return _System(*affine, col.Phi, np.array(s), rhs, abs_rhs, float(abs_rhs.max()))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
@@ -289,6 +323,15 @@ def _jacobian(problem: EmdenFowlerProblem, system: _System, u: list):
     J = system.A.copy()
     J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.Phi
     return J
+
+
+def _floor_bound(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
+    """An upper bound of _stop_level's rounding floor at C (see
+    _FLOOR_BOUND_MARGIN), or inf where it decides nothing.  r(C) is finite
+    where it is called, so s g is too and C holds no NaN."""
+    scale = system.R * max(map(abs, C.tolist())) + (max(map(abs, sg.tolist())) + system.rhs_max)
+    bound = ROUNDING_FLOOR_FACTOR * _EPS * (_FLOOR_BOUND_MARGIN * scale)
+    return bound if bound >= _FLOOR_BOUND_MIN else math.inf
 
 
 def _stop_level(
@@ -338,6 +381,13 @@ def assemble_residual(
     return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def solve(
     problem: EmdenFowlerProblem,
     N: int,
@@ -356,13 +406,18 @@ def solve(
     floor = ROUNDING_FLOOR_FACTOR * eps * max(|A||C| + |s g(Phi C)| + |rhs|)
     is the rounding level of evaluating the residual at C itself; the
     reported residual_inf is the true residual, never the floor.  The
-    Jacobian is exact, so a linear g takes one Newton step.
+    Jacobian is exact, so a linear g takes one Newton step.  N and
+    max_iters must be integers (anything operator.index accepts); another
+    type raises TypeError naming the argument.
 
     The collocation record of (alpha, N) and the affine operator A of
     (alpha, N, lambda) are built once per key and cached read-only, so a
     repeated key builds no matrix.  Each iterate forms Phi C once, for r
-    and J, and the floor is computed only while the residual is above tol.
+    and J, and the floor is computed only while the residual is above tol
+    and at or below the floor's cached-operator bound (_floor_bound), so
+    the result is the same as computing it at every iterate.
     """
+    N, max_iters = _integer("N", N), _integer("max_iters", max_iters)
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
     if not math.isfinite(tol):
@@ -385,8 +440,10 @@ def solve(
             f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
         )
     iters = 0
-    # the stop level is max(tol, floor): the floor matters only above tol
-    while rnorm > tol and rnorm > _stop_level(system, sg, C, tol, col.pts):
+    # the stop level is max(tol, floor): the floor matters only above tol,
+    # and only where its bound does not already lie below the residual
+    while rnorm > tol and (rnorm > _floor_bound(system, sg, C)
+                           or rnorm > _stop_level(system, sg, C, tol, col.pts)):
         if iters >= max_iters:
             raise NonConvergenceError(rnorm, iters)
         J = _jacobian(problem, system, u)
@@ -404,7 +461,7 @@ def solve(
         # damp by halving until the residual norm actually decreases
         t = 1.0
         for _ in range(30):
-            Cn = C + t * d
+            Cn = C + t * d if t < 1.0 else C + d
             rn, sgn, un = _residual(problem, system, Cn)
             rn_norm = float(np.abs(rn).max())
             if rn_norm < rnorm:

@@ -20,6 +20,7 @@ from fracemden.expr import (
     _digamma,
     _power,
     _power_derivative,
+    _power_dual,
     compile_expression,
     compile_with_derivative,
     evaluate,
@@ -481,6 +482,22 @@ class TestConstantFolding:
         with pytest.raises(EvalError, match="overflow"):
             f(np.float64(10.0))  # numpy's power would give inf and a warning
         assert type(compile_expression(parse("x", X), "x")(np.float64(0.5))) is float
+
+
+class TestConstantExponent:
+    # an exponent that folds to b >= 0 compiles to its own closure; u^-2
+    # keeps the general rule
+    @pytest.mark.parametrize(
+        "src", ["u^0", "u^2", "u^3", "pow(u, 3)", "u^-2", "u^0.5", "u^1e-20"]
+    )
+    @pytest.mark.parametrize("u", [0.0, -0.0, -2.0, 5e-324, 1e200, math.inf, math.nan])
+    def test_same_outcome_as_the_general_rule(self, src, u):
+        tree = parse(src, U)
+        b = evaluate(tree.rhs if isinstance(tree, BinOp) else tree.args[1], {})
+        assert _outcome(compile_expression(tree, "u"), u) == _outcome(_power, u, b, tree)
+        assert _outcome(compile_with_derivative(tree, "u"), u) == (
+            _outcome(_power_dual, (u, 1.0), (b, 0.0), tree)
+        )
 
 
 # sources of depth k in each way a tree can nest

@@ -167,6 +167,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
             solve(lane_emden(1), 3, max_iters=-1)
 
+    @pytest.mark.parametrize(
+        "N,max_iters,name",
+        [(6.0, 50, "N"), ("6", 50, "N"), (6, 2.5, "max_iters"), (6, None, "max_iters")],
+    )
+    def test_non_integer_N_and_max_iters_refused_by_name(self, N, max_iters, name):
+        # 6.0 used to fail inside numpy, and max_iters = 2.5 ran 3 iterations
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            solve(lane_emden(5), N, max_iters=max_iters)
+
+    def test_numpy_integers_accepted(self):
+        report = solve(lane_emden(5), np.int64(6), max_iters=np.int64(50))
+        assert report.C.tobytes() == solve(lane_emden(5), 6).C.tobytes()
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             EmdenFowlerProblem(
@@ -277,23 +290,26 @@ class TestExactNewton:
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
-        "problem,N,iters,floor_calls",
-        [(lane_emden(5, 0.8), 10, 4, 4), (lane_emden(1, 0.6), 12, 1, 2)],
+        "problem,N,iters,floor_calls,stops_on_floor",
+        [(lane_emden(5, 0.8), 10, 4, 0, False), (lane_emden(1, 0.6), 12, 1, 1, True)],
         ids=["below_tol", "floor_stop"],
     )
-    def test_floor_computed_only_above_tol(self, monkeypatch, problem, N, iters, floor_calls):
+    def test_floor_computed_only_above_tol(
+        self, monkeypatch, problem, N, iters, floor_calls, stops_on_floor
+    ):
         # the stop level is max(tol, floor): below_tol ends at 9.3e-12 <= tol
-        # with no floor for its last iterate; floor_stop accepts 1.5e-8 > tol
-        # on the floor, so it still computes it
+        # with no floor for its last iterate, and the floor's bound lies below
+        # every residual before it; floor_stop accepts 1.5e-8 > tol on the
+        # floor, so it still computes it there, and only there
         tol, levels, stop_level = 1e-10, [], solver._stop_level
         monkeypatch.setattr(solver, "_stop_level",
                             lambda *args: levels.append(stop_level(*args)) or levels[-1])
         report = solve(problem, N, tol=tol)
         assert (report.newton_iters, len(levels)) == (iters, floor_calls)
-        if floor_calls == iters:
-            assert report.residual_inf <= tol
-        else:
+        if stops_on_floor:
             assert tol < report.residual_inf <= levels[-1]
+        else:
+            assert report.residual_inf <= tol
         monkeypatch.undo()
         assert report.C.tobytes() == solve(problem, N, tol=tol).C.tobytes()
 
@@ -321,14 +337,70 @@ class TestExactNewton:
         assert report.cond_Q == linalg.condition_estimate(linalg.gram(build_basis(6)))
 
 
-def _cubic(alpha=0.9, lam=1.0, a=1.0, c=0.25):
-    """u^3 problem with s = 1 whose forcing makes u* = a + c x^(2 alpha)
+def _manufactured(g, alpha=0.9, lam=1.0, a=1.0, c=0.25):
+    """Problem in g with s = 1 whose forcing makes u* = a + c x^(2 alpha)
     exact, as in the benchmark's nonlinear family."""
     a2 = 2.0 * alpha
     ustar = f"({a!r} + {c!r}*x^{a2!r})"
     h = (f"{c!r}*gamma(1 + {a2!r}) + {lam!r}*{c!r}*gamma(1 + {a2!r})"
-         f"/gamma(1 + {alpha!r}) + {ustar}^3")
-    return solver.problem_from_strings(alpha, lam, "1", "u^3", h, a, 0.0, exact=ustar)
+         f"/gamma(1 + {alpha!r}) + {g.replace('u', ustar)}")
+    return solver.problem_from_strings(alpha, lam, "1", g, h, a, 0.0, exact=ustar)
+
+
+def _cubic(alpha=0.9, lam=1.0, a=1.0, c=0.25):
+    return _manufactured("u^3", alpha, lam, a, c)
+
+
+def _pool_alpha(k):
+    """Point k of the benchmark's alpha-sweep pool of 2000 over [0.7, 1)."""
+    return 0.7 + 0.3 * (k + 0.5) / 2000
+
+
+def _outcome(problem, N, **options):
+    try:
+        report = solve(problem, N, **options)
+    except (SolverError, expr.EvalError) as err:
+        return type(err), str(err)
+    return report.C.tobytes(), report.newton_iters, report.residual_inf
+
+
+class TestFloorBound:
+    @pytest.mark.parametrize(
+        "problem,N,options",
+        [(_manufactured("u^3", 0.75, 0.5, 0.5, -0.5), 6, {}),
+         (_manufactured("u^5", 0.9, 2.0, 1.0, 0.5), 6, {}),
+         (_manufactured("exp(u)", 1.0, 1.0, 0.5, 0.25), 6, {}),
+         (_manufactured("sin(u)", 0.75, 2.0, 1.0, -0.25), 6, {}),
+         (mixed_power(_pool_alpha(0)), 10, {}),
+         (mixed_power(_pool_alpha(1990)), 10, {}),
+         (shifted_power(_pool_alpha(20)), 10, {}),
+         (shifted_power(_pool_alpha(1990)), 10, {}),
+         (lane_emden(1, 0.6), 12, {}),
+         (lane_emden(5), 6, {"tol": 0.0, "max_iters": 8}),
+         (_with(lane_emden(1), a=1e308), 4, {}),
+         (_with(lane_emden(1), b=1e308), 4, {})],
+        ids=["cubic", "quintic", "exp", "sin", "mixed_pool0", "mixed_pool1990",
+             "shifted_pool20", "shifted_pool1990", "floor_stop", "tol0", "a1e308", "b1e308"],
+    )
+    def test_bound_changes_no_outcome(self, monkeypatch, problem, N, options):
+        pts = solver._cached_collocation(problem.alpha, N).pts
+        bound, stop_level, pairs = solver._floor_bound, solver._stop_level, []
+
+        def checked(system, sg, C):
+            try:
+                floor = stop_level(system, sg, C, -math.inf, pts)
+            except SolverError:  # the floor overflows
+                floor = math.inf
+            pairs.append((bound(system, sg, C), floor))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(solver, "_floor_bound", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on = _outcome(problem, N, **options)
+        assert pairs and all(b >= floor for b, floor in pairs)
+        monkeypatch.setattr(solver, "_floor_bound", lambda *args: math.inf)
+        assert _outcome(problem, N, **options) == on
 
 
 def _clear_caches():
@@ -367,7 +439,8 @@ class TestOperatorCache:
         col = solver._cached_collocation(problem.alpha, 6)
         D1 = fraccalc.build_D(problem.alpha, basis)
         D2 = fraccalc.build_D(2.0 * problem.alpha, basis)
-        A, absA = solver._cached_affine(problem.alpha, 6, problem.lam)
+        A, absA, R = solver._cached_affine(problem.alpha, 6, problem.lam)
+        assert R == float(np.abs(A).sum(axis=1).max())
         arrays = (x, Phi, B0, table_rows, D1.D, D2.D,
                   col.x, col.Phi, col.P2, col.P1, col.ic, col.table_rows, A, absA)
         for a in arrays:
@@ -427,8 +500,11 @@ class TestOperatorCache:
                 assert a.tobytes() == b.tobytes(), name
             else:
                 assert a == b, name
-        for a, b in zip(affine, cached_affine):
-            assert a.tobytes() == b.tobytes()
+        for name, a, b in zip(solver._Affine._fields, affine, cached_affine):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), name
+            else:
+                assert a == b, name
 
     def test_assemble_residual_warm_equals_cold(self):
         problem, N = _cubic(), 6
