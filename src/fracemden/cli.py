@@ -26,7 +26,8 @@ import sys
 
 import numpy as np
 
-from .polybasis import Polynomial, build_basis, build_M_int, eval_basis, eval_series
+from .polybasis import (Polynomial, build_basis, build_M_int, eval_basis, eval_series,
+                        monomial_to_boubaker_int)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -370,12 +371,13 @@ def cmd_oracle_check(args, out) -> int:
 
     if float(alpha).is_integer():
         worst = 0.0
+        to_basis = monomial_to_boubaker_int(N)
         for n in range(N + 1):
             image = fraccalc.caputo_polynomial(basis.polys[n], alpha)
             mono = np.zeros(N + 1)
             for c, e in image.terms:
                 mono[int(e)] = c
-            row = np.linalg.solve(basis.M.T, mono)
+            row = (mono @ to_basis).astype(float)  # basis coordinates of the image
             worst = max(worst, float(np.max(np.abs(D[n] - row))))
         good = worst <= 1e-9
         ok &= good

@@ -41,7 +41,7 @@ MAX_ORDER = 2.0
 
 @dataclass(frozen=True)
 class GeneralizedPolynomial:
-    """Finite sum of c * x^e terms with real exponents e >= 0.
+    """Finite sum of c * x^e terms with finite real exponents e >= 0.
 
     Closed under the Caputo rules used here, unlike plain polynomials.
     Terms are canonicalized: zero coefficients dropped, equal exponents
@@ -56,6 +56,8 @@ class GeneralizedPolynomial:
         for c, e in terms:
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
+            if not math.isfinite(e):
+                raise ValueError(f"exponent must be finite, got {e}")
             merged[e] = merged.get(e, 0.0) + c
         canon = tuple(
             (c, e) for e, c in sorted(merged.items()) if c != 0.0
@@ -84,12 +86,15 @@ def caputo_monomial(beta: float, alpha: float) -> GeneralizedPolynomial:
     Integer beta below ceil(alpha) is annihilated (constants and the low
     powers absorbed by the initial conditions); otherwise the result is the
     single term Gamma(beta+1)/Gamma(beta+1-alpha) * x^(beta-alpha); both
-    arguments of math.gamma are then at least 1.
+    arguments of math.gamma are then at least 1.  Both must be finite.
     """
     if beta < 0:
         raise ValueError(f"exponent must be >= 0, got {beta}")
     if not alpha > 0:
         raise ValueError(f"order must be > 0, got {alpha}")
+    for name, v in (("exponent", beta), ("order", alpha)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     beta_is_int = float(beta).is_integer()
     if beta_is_int and beta < math.ceil(alpha):
         return GeneralizedPolynomial(())

@@ -218,16 +218,22 @@ def eval_basis(x, basis: BoubakerBasis) -> np.ndarray:
     return acc
 
 
-def eval_series(C, x, basis: BoubakerBasis):
-    """Evaluate the series sum_n C[n] * B_n(x): a float for a scalar x; for
-    a 1-D array of points, the array of those floats, each the same dot
-    product C . B(x_k) as the scalar call, bit for bit (B(x) @ C would
-    not be: BLAS may sum a matrix-vector product in another order)."""
+def coefficient_vector(C, basis: BoubakerBasis) -> np.ndarray:
+    """C as a float array; a shape other than (basis.N + 1,) raises ValueError."""
     C = np.asarray(C, dtype=float)
     if C.shape != (basis.N + 1,):
         raise ValueError(
             f"coefficient vector has shape {C.shape}, expected ({basis.N + 1},)"
         )
+    return C
+
+
+def eval_series(C, x, basis: BoubakerBasis):
+    """Evaluate the series sum_n C[n] * B_n(x): a float for a scalar x; for
+    a 1-D array of points, the array of those floats, each the same dot
+    product C . B(x_k) as the scalar call, bit for bit (B(x) @ C would
+    not be: BLAS may sum a matrix-vector product in another order)."""
+    C = coefficient_vector(C, basis)
     B = eval_basis(x, basis)
     if B.ndim == 1:
         return float(C @ B)

@@ -22,15 +22,17 @@ constant subtrees, such as the Gamma terms of a manufactured forcing,
 folded; each point still goes through the same libm calls in the same
 order, so values are bit-identical to walking the expression trees.
 
-What does not depend on the problem is cached read-only: one collocation
-record per (alpha, N) -- the points, Phi, the affine rows Phi D_2alpha^T
-and Phi D_alpha^T, the initial-condition rows [B(0); D_alpha B(0)], the
-basis at the error-table points and the Gram condition estimate -- on a
-grid cached per N, and the affine operator A, |A| and the largest row sum
-R of |A| per (alpha, N, lambda); one builder makes each, and
-assemble_residual builds both, uncached, from the matrices it is given.
-A solve then evaluates s, h, |rhs| and max|rhs| once, and u = Phi C once
-per Newton iterate for both r and J.  The stop level's rounding floor, an
+What does not depend on the problem is one read-only operator record per
+(alpha, N, lambda): the points, Phi, A = [Phi D_2alpha^T +
+diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)], |A|, the
+largest row sum R of |A|, the basis at the error-table points and the
+Gram condition estimate.  One builder makes it from N, alpha, lambda and
+the two Caputo matrices, on a grid cached per N.  solve caches the
+record per (alpha, N, lambda) and the Caputo matrices per (alpha, N), so
+a new lambda builds no Caputo matrix; assemble_residual builds the
+record, uncached, from the matrices it is given.  A solve then evaluates
+s, h, |rhs| and max|rhs| once, and u = Phi C once per Newton iterate for
+both r and J.  The stop level is max(tol, floor); the rounding floor, an
 |A||C| product, is computed only where it can decide: while the residual
 is above tol and not already above the floor's upper bound
 4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import expr, fraccalc, linalg
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
-from .polybasis import DEGREE_CAP, BoubakerBasis, build_basis, eval_basis
+from .polybasis import DEGREE_CAP, BoubakerBasis, build_basis, coefficient_vector, eval_basis
 
 CONDITION_WARNING_THRESHOLD = 1e12
 # Newton stops once the residual is within this many unit roundoffs of the
@@ -85,9 +87,9 @@ _FLOOR_BOUND_MARGIN = 1.0 + 2.0**-40
 # Below this the bound is not used: subnormal products of |A||C| round by
 # an absolute amount that the relative margin does not cover.
 _FLOOR_BOUND_MIN = float(np.finfo(float).tiny)
-# (alpha, N) keys whose collocation records stay cached; each holds a few
-# (N+1)-wide arrays.
-_COLLOCATION_CACHE_SIZE = 32
+# (alpha, N) keys whose Caputo matrices, and (alpha, N, lambda) keys whose
+# operators, stay cached; each holds a few (N+1)-wide arrays.
+_CACHE_SIZE = 32
 # points of a solve's error table
 _TABLE_XS = tuple(k / 10.0 for k in range(1, 11))
 
@@ -214,37 +216,25 @@ def _eval_all(f, name: str, values, where: str) -> list:
         raise
 
 
-class _Collocation(NamedTuple):
-    """What the Newton loop reads of one (alpha, N) key."""
+class _Operator(NamedTuple):
+    """What a solve reads of one (alpha, N, lambda) key."""
 
     pts: tuple[float, ...]  # interior collocation points, descending
-    x: np.ndarray  # the same points as an array
     Phi: np.ndarray  # row k is B(x_k)
-    P2: np.ndarray  # Phi D_2alpha^T: D^(2alpha) of each basis function at x_k
-    P1: np.ndarray  # Phi D_alpha^T
-    ic: np.ndarray  # [B(0); D_alpha B(0)]: the rows of u(0) = a, D^(alpha) u(0) = b
+    A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
+    absA: np.ndarray  # |A|, for the floor
+    R: float  # the largest row sum of |A|, for the floor's bound
     table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
     cond_Q: float  # condition estimate of the Gram matrix
-
-
-class _Affine(NamedTuple):
-    """The affine operator of one (alpha, N, lambda) key."""
-
-    A: np.ndarray  # N-1 collocation rows, then the two IC rows
-    absA: np.ndarray  # |A|, for the stop level
-    R: float  # the largest row sum of |A|, for the bound of the stop level
 
 
 class _System(NamedTuple):
     """The collocated system r(C) = A C + [s * g(Phi C); 0; 0] - rhs."""
 
-    A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
-    absA: np.ndarray  # |A|, for the stop level
-    R: float  # the largest row sum of |A|
-    Phi: np.ndarray  # row k is B(x_k) at collocation point k
+    op: _Operator
     s: np.ndarray  # s(x_k)
     rhs: np.ndarray  # [h(x_k); a; b]
-    abs_rhs: np.ndarray  # |rhs|, for the stop level
+    abs_rhs: np.ndarray  # |rhs|, for the floor
     rhs_max: float  # max |rhs|, for its bound
 
 
@@ -261,96 +251,87 @@ def _grid(N: int):
     return basis, pts, *arrays, linalg.condition_estimate(linalg.gram(basis))
 
 
-def _collocation(N: int, D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix) -> _Collocation:
-    """The read-only record of the degree-N grid and the operators D_alpha,
-    D_2alpha."""
+def _operator(N: int, alpha: float, lam: float,
+              D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix) -> _Operator:
+    """The read-only operator of the degree-N grid with the matrices given:
+    A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)],
+    |A| and the largest row sum of |A|."""
     _, pts, x, Phi, B0, table_rows, cond_Q = _grid(N)
-    affine = (Phi @ D_2alpha.D.T, Phi @ D_alpha.D.T, np.vstack([B0, D_alpha.D @ B0]))
-    for a in affine:
-        a.setflags(write=False)
-    return _Collocation(pts, x, Phi, *affine, table_rows, cond_Q)
-
-
-@lru_cache(maxsize=_COLLOCATION_CACHE_SIZE)
-def _cached_collocation(alpha: float, N: int) -> _Collocation:
-    basis = _grid(N)[0]
-    return _collocation(
-        N, fraccalc.build_D(alpha, basis), fraccalc.build_D(2.0 * alpha, basis)
-    )
-
-
-def _affine(col: _Collocation, alpha: float, lam: float) -> _Affine:
-    """Read-only A = [P2 + diag(lam / x^alpha) P1; ic] of col, |A| and the
-    largest row sum of |A|."""
-    damping = lam / col.x ** alpha
-    A = np.vstack([col.P2 + damping[:, None] * col.P1, col.ic])
+    damping = lam / x ** alpha
+    A = np.vstack([Phi @ D_2alpha.D.T + damping[:, None] * (Phi @ D_alpha.D.T),
+                   B0, D_alpha.D @ B0])
     absA = np.abs(A)
     for a in (A, absA):
         a.setflags(write=False)
-    return _Affine(A, absA, float(absA.sum(axis=1).max()))
+    return _Operator(pts, Phi, A, absA, float(absA.sum(axis=1).max()), table_rows, cond_Q)
 
 
-@lru_cache(maxsize=_COLLOCATION_CACHE_SIZE)
-def _cached_affine(alpha: float, N: int, lam: float) -> _Affine:
-    return _affine(_cached_collocation(alpha, N), alpha, lam)
+@lru_cache(maxsize=_CACHE_SIZE)
+def _caputo_matrices(alpha: float, N: int) -> tuple[OperationalMatrix, OperationalMatrix]:
+    basis = _grid(N)[0]
+    return fraccalc.build_D(alpha, basis), fraccalc.build_D(2.0 * alpha, basis)
 
 
-def _assemble(problem: EmdenFowlerProblem, col: _Collocation, affine: _Affine) -> _System:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cached_operator(alpha: float, N: int, lam: float) -> _Operator:
+    return _operator(N, alpha, lam, *_caputo_matrices(alpha, N))
+
+
+def _assemble(problem: EmdenFowlerProblem, op: _Operator) -> _System:
     f = problem.compiled
-    s = _eval_all(f.s, "x", col.pts, "s(x)")
+    s = _eval_all(f.s, "x", op.pts, "s(x)")
     if not all(map(math.isfinite, s)):
         # refused before s * g(Phi C) could warn of inf * 0
         k = next(k for k, v in enumerate(s) if not math.isfinite(v))
-        raise SolverError(f"s(x) = {s[k]} at collocation point x = {col.pts[k]!r} is not finite")
-    rhs = np.array(_eval_all(f.h, "x", col.pts, "h(x)") + [problem.a, problem.b])
+        raise SolverError(f"s(x) = {s[k]} at collocation point x = {op.pts[k]!r} is not finite")
+    rhs = np.array(_eval_all(f.h, "x", op.pts, "h(x)") + [problem.a, problem.b])
     abs_rhs = np.abs(rhs)
-    return _System(*affine, col.Phi, np.array(s), rhs, abs_rhs, float(abs_rhs.max()))
+    return _System(op, np.array(s), rhs, abs_rhs, float(abs_rhs.max()))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
     """r(C), its nonlinear part s * g(Phi C), and u = Phi C as a list."""
-    u = (system.Phi @ C).tolist()
+    u = (system.op.Phi @ C).tolist()
     sg = system.s * np.array(_eval_all(problem.compiled.g, "u", u, "g(u)"))
-    r = system.A @ C - system.rhs
+    r = system.op.A @ C - system.rhs
     r[: sg.size] += sg
     return r, sg, u
 
 
 def _jacobian(problem: EmdenFowlerProblem, system: _System, u: list):
     """Exact J = A + [diag(s * g'(u)) Phi; 0; 0] at u = Phi C."""
-    duals = _eval_all(problem.compiled.g_dual, "u", u, "g(u)")
-    dg = [d for _, d in duals]
-    J = system.A.copy()
-    J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.Phi
+    dg = [d for _, d in _eval_all(problem.compiled.g_dual, "u", u, "g'(u)")]
+    J = system.op.A.copy()
+    J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.op.Phi
     return J
 
 
 def _floor_bound(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
-    """An upper bound of _stop_level's rounding floor at C (see
-    _FLOOR_BOUND_MARGIN), or inf where it decides nothing.  r(C) is finite
-    where it is called, so s g is too and C holds no NaN."""
-    scale = system.R * max(map(abs, C.tolist())) + (max(map(abs, sg.tolist())) + system.rhs_max)
+    """An upper bound of _floor at C (see _FLOOR_BOUND_MARGIN), or inf
+    where it decides nothing.  r(C) is finite where it is called, so s g
+    is too and C holds no NaN."""
+    scale = system.op.R * max(map(abs, C.tolist())) + (max(map(abs, sg.tolist())) + system.rhs_max)
     bound = ROUNDING_FLOOR_FACTOR * _EPS * (_FLOOR_BOUND_MARGIN * scale)
     return bound if bound >= _FLOOR_BOUND_MIN else math.inf
 
 
-def _stop_level(
-    system: _System, sg: np.ndarray, C: np.ndarray, tol: float, pts: tuple[float, ...]
-) -> float:
-    """max(tol, the rounding floor of evaluating r at C).
+def _floor(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
+    """The rounding floor of evaluating r at C,
+    ROUNDING_FLOOR_FACTOR * eps * max(|A||C| + |s g(Phi C)| + |rhs|).
 
     A floor that overflows would accept any residual, so it raises
     SolverError naming the row and the terms of its scale.
     """
+    op = system.op
     with np.errstate(over="ignore"):
-        AC = system.absA @ np.abs(C)
+        AC = op.absA @ np.abs(C)
         scale = AC + system.abs_rhs
         scale[: sg.size] += np.abs(sg)
     top = float(scale.max())
     if not math.isfinite(top):
         k = int(np.flatnonzero(~np.isfinite(scale))[0])
-        n = len(pts)
-        row = f"collocation point x = {pts[k]!r}" if k < n else (
+        n = len(op.pts)
+        row = f"collocation point x = {op.pts[k]!r}" if k < n else (
             ("initial condition u(0) = a", "initial condition D^(alpha) u(0) = b")[k - n]
         )
         sg_k = abs(sg[k]) if k < n else 0.0
@@ -358,7 +339,7 @@ def _stop_level(
             f"stop level overflows: the residual scale |A||C| + |s g(Phi C)| + |rhs| "
             f"at the {row} is {AC[k]} + {sg_k} + {system.abs_rhs[k]}"
         )
-    return max(tol, ROUNDING_FLOOR_FACTOR * _EPS * top)
+    return ROUNDING_FLOOR_FACTOR * _EPS * top
 
 
 def assemble_residual(
@@ -376,8 +357,7 @@ def assemble_residual(
     matrices given, on solve's cached grid for basis.N, so a basis above
     DEGREE_CAP is refused here too.
     """
-    col = _collocation(basis.N, D_alpha, D_2alpha)
-    system = _assemble(problem, col, _affine(col, problem.alpha, problem.lam))
+    system = _assemble(problem, _operator(basis.N, problem.alpha, problem.lam, D_alpha, D_2alpha))
     return _residual(problem, system, np.asarray(C, dtype=float))[0]
 
 
@@ -410,8 +390,8 @@ def solve(
     max_iters must be integers (anything operator.index accepts); another
     type raises TypeError naming the argument.
 
-    The collocation record of (alpha, N) and the affine operator A of
-    (alpha, N, lambda) are built once per key and cached read-only, so a
+    The operator record of (alpha, N, lambda) is built once per key and
+    cached read-only, and so are the Caputo matrices of (alpha, N), so a
     repeated key builds no matrix.  Each iterate forms Phi C once, for r
     and J, and the floor is computed only while the residual is above tol
     and at or below the floor's cached-operator bound (_floor_bound), so
@@ -424,8 +404,8 @@ def solve(
         raise ValueError(f"tol must be finite, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    col = _cached_collocation(problem.alpha, N)
-    system = _assemble(problem, col, _cached_affine(problem.alpha, N, problem.lam))
+    op = _cached_operator(problem.alpha, N, problem.lam)
+    system = _assemble(problem, op)
 
     C = np.zeros(N + 1)
     C[0] = problem.a
@@ -436,14 +416,14 @@ def solve(
         k = int(np.flatnonzero(~np.isfinite(r))[0])
         raise SolverError(
             f"residual {r[k]} at the start point u = a, at collocation point "
-            f"x = {col.pts[k]!r}: its terms are A C = {(system.A @ C)[k]}, "
+            f"x = {op.pts[k]!r}: its terms are A C = {(op.A @ C)[k]}, "
             f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
         )
     iters = 0
     # the stop level is max(tol, floor): the floor matters only above tol,
     # and only where its bound does not already lie below the residual
     while rnorm > tol and (rnorm > _floor_bound(system, sg, C)
-                           or rnorm > _stop_level(system, sg, C, tol, col.pts)):
+                           or rnorm > _floor(system, sg, C)):
         if iters >= max_iters:
             raise NonConvergenceError(rnorm, iters)
         J = _jacobian(problem, system, u)
@@ -472,7 +452,7 @@ def solve(
         C, r, sg, u, rnorm = Cn, rn, sgn, un, rn_norm
         iters += 1
 
-    cond_q = col.cond_Q
+    cond_q = op.cond_Q
     warnings = ()
     if cond_q > CONDITION_WARNING_THRESHOLD:
         warnings = (
@@ -485,14 +465,14 @@ def solve(
     if problem.exact is not None:
         rows = []
         exact = _eval_all(problem.compiled.exact, "x", _TABLE_XS, "exact(x)")
-        for x, bx, exact_val in zip(_TABLE_XS, col.table_rows, exact):
+        for x, bx, exact_val in zip(_TABLE_XS, op.table_rows, exact):
             approx = float(C @ bx)
             rows.append((x, approx, exact_val, abs(approx - exact_val)))
         error_table = tuple(rows)
 
     return SolveReport(
         C=C,
-        points=col.pts,
+        points=op.pts,
         newton_iters=iters,
         residual_inf=rnorm,
         cond_Q=cond_q,
@@ -518,7 +498,7 @@ def residual_certificate(
     bad = [x for x in xs if not 0.0 < x <= 1.0]
     if bad:
         raise ValueError(f"grid point {bad[0]} outside (0, 1]")
-    mono = basis.M.T @ np.asarray(C, dtype=float)  # monomial coefficients of C^T B
+    mono = basis.M.T @ coefficient_vector(C, basis)  # monomial coefficients of C^T B
     u_poly = GeneralizedPolynomial.from_terms((c, float(k)) for k, c in enumerate(mono))
     x = np.array(xs)
     def on_grid(poly: GeneralizedPolynomial) -> np.ndarray:

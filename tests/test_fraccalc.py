@@ -103,6 +103,11 @@ class TestGeneralizedPolynomial:
         with pytest.raises(ValueError):
             GeneralizedPolynomial.from_terms([(1.0, -0.2)])
 
+    @pytest.mark.parametrize("e", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, e):
+        with pytest.raises(ValueError, match=f"^exponent must be finite, got {e}$"):
+            GeneralizedPolynomial.from_terms([(1.0, 1.0), (1.0, e)])
+
 
 class TestCaputoMonomial:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 2.0])
@@ -136,6 +141,18 @@ class TestCaputoMonomial:
             caputo_monomial(-1.0, 0.5)
         with pytest.raises(ValueError):
             caputo_monomial(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "beta,alpha,message",
+        [(math.nan, 0.5, "exponent must be finite, got nan"),
+         (math.inf, 0.5, "exponent must be finite, got inf"),
+         (1.0, math.inf, "order must be finite, got inf")],
+    )
+    def test_non_finite_args_named(self, beta, alpha, message):
+        # a NaN exponent used to give a NaN term, an infinite order an
+        # OverflowError from math.ceil
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            caputo_monomial(beta, alpha)
 
 
 class TestCaputoPolynomial:
