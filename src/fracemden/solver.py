@@ -24,26 +24,27 @@ order, so values are bit-identical to walking the expression trees.
 
 What does not depend on the problem is one read-only operator record per
 (alpha, N, lambda): the points, Phi, A = [Phi D_2alpha^T +
-diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)], |A|, the
-largest row sum R of |A|, the basis at the error-table points and the
-Gram condition estimate.  One builder makes it from N, alpha, lambda and
-the two Caputo matrices, on a grid cached per N.  solve caches the
-record per (alpha, N, lambda) and the Caputo matrices per (alpha, N), so
-a new lambda builds no Caputo matrix; assemble_residual builds the
-record, uncached, from the matrices it is given.  A solve then evaluates
-s, h, |rhs| and max|rhs| once, and u = Phi C once per Newton iterate for
-both r and J.  The stop level is max(tol, floor); the rounding floor, an
-|A||C| product, is computed only where it can decide: while the residual
-is above tol and not already above the floor's upper bound
+diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)], the largest
+row sum R of |A|, the basis at the error-table points and the Gram
+condition estimate.  One builder makes it from N, alpha, lambda and the
+two Caputo matrices, on a grid cached per N; solve caches it per key,
+Caputo matrices included, and assemble_residual builds it, uncached, from
+the matrices it is given.  A solve then evaluates s, h and max|rhs| once,
+and u = Phi C once per Newton iterate for both r and J.  The stop level
+is max(tol, floor); the rounding floor, an |A||C| product, is computed
+only where it can decide: while the residual is above tol and not
+already above the floor's upper bound
 4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
 the rounding of both, so every decision is the floor's own.
 
-lambda, a, b and tol must be finite.  An s(x) that is not finite at a
-collocation point, and a start point whose residual is not finite, raise
-SolverError naming the point: Newton's stop test cannot see a NaN.  A stop
-level that overflows (a = 1e308, say) raises SolverError naming the row
-whose scale overflowed, since it would accept any residual, and so does a
-Newton step that is not finite (b = 1e308, say).
+lambda, a, b and tol must be finite, and b must be 0 when lambda > 0 (a
+solution regular at x = 0 has D^(a) u(0) = 0 there).  An s(x) that is not
+finite at a collocation point, and a start point whose residual is not
+finite, raise SolverError naming the point: Newton's stop test cannot see
+a NaN.  So do a stop level that overflows (a = 1e308, say), naming the
+row whose scale overflowed, since it would accept any residual, and a
+Newton step that is not finite (h = 1.7e308, say), naming the Jacobian
+row that overflowed if one did (s = 1e308, say).
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ _FLOOR_BOUND_MARGIN = 1.0 + 2.0**-40
 # Below this the bound is not used: subnormal products of |A||C| round by
 # an absolute amount that the relative margin does not cover.
 _FLOOR_BOUND_MIN = float(np.finfo(float).tiny)
-# (alpha, N) keys whose Caputo matrices, and (alpha, N, lambda) keys whose
-# operators, stay cached; each holds a few (N+1)-wide arrays.
+# (alpha, N, lambda) keys whose operators stay cached; each holds a few
+# (N+1)-wide arrays.
 _CACHE_SIZE = 32
 # points of a solve's error table
 _TABLE_XS = tuple(k / 10.0 for k in range(1, 11))
@@ -140,6 +141,11 @@ class EmdenFowlerProblem:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if self.lam > 0 and self.b != 0:
+            raise ValueError(
+                f"b must be 0 when lambda > 0, got lambda = {self.lam} and b = {self.b}: "
+                f"lambda / x^alpha D^(alpha) u is unbounded at x = 0 unless D^(alpha) u(0) = 0"
+            )
 
     @cached_property
     def compiled(self) -> _Compiled:
@@ -222,7 +228,6 @@ class _Operator(NamedTuple):
     pts: tuple[float, ...]  # interior collocation points, descending
     Phi: np.ndarray  # row k is B(x_k)
     A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
-    absA: np.ndarray  # |A|, for the floor
     R: float  # the largest row sum of |A|, for the floor's bound
     table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
     cond_Q: float  # condition estimate of the Gram matrix
@@ -234,18 +239,16 @@ class _System(NamedTuple):
     op: _Operator
     s: np.ndarray  # s(x_k)
     rhs: np.ndarray  # [h(x_k); a; b]
-    abs_rhs: np.ndarray  # |rhs|, for the floor
-    rhs_max: float  # max |rhs|, for its bound
+    rhs_max: float  # max |rhs|, for the floor's bound
 
 
 @lru_cache(maxsize=DEGREE_CAP + 1)
 def _grid(N: int):
-    """The basis of degree N with its read-only points, Phi, B(0) and
+    """The basis of degree N with its points, its read-only Phi, B(0) and
     error-table rows, and the Gram condition estimate."""
     basis = build_basis(N)
     pts = tuple(collocation_points(N))
-    arrays = (np.array(pts), eval_basis(pts, basis), eval_basis(0.0, basis),
-              eval_basis(_TABLE_XS, basis))
+    arrays = (eval_basis(pts, basis), eval_basis(0.0, basis), eval_basis(_TABLE_XS, basis))
     for a in arrays:
         a.setflags(write=False)
     return basis, pts, *arrays, linalg.condition_estimate(linalg.gram(basis))
@@ -254,27 +257,21 @@ def _grid(N: int):
 def _operator(N: int, alpha: float, lam: float,
               D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix) -> _Operator:
     """The read-only operator of the degree-N grid with the matrices given:
-    A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)],
-    |A| and the largest row sum of |A|."""
-    _, pts, x, Phi, B0, table_rows, cond_Q = _grid(N)
-    damping = lam / x ** alpha
+    A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)]
+    and the largest row sum of |A|."""
+    _, pts, Phi, B0, table_rows, cond_Q = _grid(N)
+    damping = lam / np.array(pts) ** alpha
     A = np.vstack([Phi @ D_2alpha.D.T + damping[:, None] * (Phi @ D_alpha.D.T),
                    B0, D_alpha.D @ B0])
-    absA = np.abs(A)
-    for a in (A, absA):
-        a.setflags(write=False)
-    return _Operator(pts, Phi, A, absA, float(absA.sum(axis=1).max()), table_rows, cond_Q)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _caputo_matrices(alpha: float, N: int) -> tuple[OperationalMatrix, OperationalMatrix]:
-    basis = _grid(N)[0]
-    return fraccalc.build_D(alpha, basis), fraccalc.build_D(2.0 * alpha, basis)
+    A.setflags(write=False)
+    return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()), table_rows, cond_Q)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cached_operator(alpha: float, N: int, lam: float) -> _Operator:
-    return _operator(N, alpha, lam, *_caputo_matrices(alpha, N))
+    basis = _grid(N)[0]
+    return _operator(N, alpha, lam, fraccalc.build_D(alpha, basis),
+                     fraccalc.build_D(2.0 * alpha, basis))
 
 
 def _assemble(problem: EmdenFowlerProblem, op: _Operator) -> _System:
@@ -285,8 +282,7 @@ def _assemble(problem: EmdenFowlerProblem, op: _Operator) -> _System:
         k = next(k for k, v in enumerate(s) if not math.isfinite(v))
         raise SolverError(f"s(x) = {s[k]} at collocation point x = {op.pts[k]!r} is not finite")
     rhs = np.array(_eval_all(f.h, "x", op.pts, "h(x)") + [problem.a, problem.b])
-    abs_rhs = np.abs(rhs)
-    return _System(op, np.array(s), rhs, abs_rhs, float(abs_rhs.max()))
+    return _System(op, np.array(s), rhs, float(np.abs(rhs).max()))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
@@ -322,10 +318,10 @@ def _floor(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
     A floor that overflows would accept any residual, so it raises
     SolverError naming the row and the terms of its scale.
     """
-    op = system.op
+    op, abs_rhs = system.op, np.abs(system.rhs)
     with np.errstate(over="ignore"):
-        AC = op.absA @ np.abs(C)
-        scale = AC + system.abs_rhs
+        AC = np.abs(op.A) @ np.abs(C)
+        scale = AC + abs_rhs
         scale[: sg.size] += np.abs(sg)
     top = float(scale.max())
     if not math.isfinite(top):
@@ -337,7 +333,7 @@ def _floor(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
         sg_k = abs(sg[k]) if k < n else 0.0
         raise SolverError(
             f"stop level overflows: the residual scale |A||C| + |s g(Phi C)| + |rhs| "
-            f"at the {row} is {AC[k]} + {sg_k} + {system.abs_rhs[k]}"
+            f"at the {row} is {AC[k]} + {sg_k} + {abs_rhs[k]}"
         )
     return ROUNDING_FLOOR_FACTOR * _EPS * top
 
@@ -357,8 +353,9 @@ def assemble_residual(
     matrices given, on solve's cached grid for basis.N, so a basis above
     DEGREE_CAP is refused here too.
     """
+    C = coefficient_vector(C, basis)
     system = _assemble(problem, _operator(basis.N, problem.alpha, problem.lam, D_alpha, D_2alpha))
-    return _residual(problem, system, np.asarray(C, dtype=float))[0]
+    return _residual(problem, system, C)[0]
 
 
 def _integer(name: str, value) -> int:
@@ -390,9 +387,9 @@ def solve(
     max_iters must be integers (anything operator.index accepts); another
     type raises TypeError naming the argument.
 
-    The operator record of (alpha, N, lambda) is built once per key and
-    cached read-only, and so are the Caputo matrices of (alpha, N), so a
-    repeated key builds no matrix.  Each iterate forms Phi C once, for r
+    The operator record of (alpha, N, lambda) is built once per key,
+    with its two Caputo matrices, and cached read-only, so a repeated key
+    builds no matrix.  Each iterate forms Phi C once, for r
     and J, and the floor is computed only while the residual is above tol
     and at or below the floor's cached-operator bound (_floor_bound), so
     the result is the same as computing it at every iterate.
@@ -434,10 +431,14 @@ def solve(
         if not all(map(math.isfinite, d.tolist())):
             # refused before a residual at C + t d could warn of inf * 0
             k = int(np.flatnonzero(~np.isfinite(d))[0])
-            raise SolverError(
-                f"Newton step not finite at iteration {iters}: "
-                f"J d = -r gives d[{k}] = {d[k]}"
-            )
+            cause = f"J d = -r gives d[{k}] = {d[k]}"
+            bad_rows = np.flatnonzero(~np.isfinite(J).all(axis=1))
+            if bad_rows.size:  # only a collocation row s g'(u) Phi can overflow
+                k = int(bad_rows[0])
+                sdg = float(system.s[k] * problem.compiled.g_dual(u[k])[1])
+                cause = (f"the Jacobian row at collocation point x = {op.pts[k]!r} "
+                         f"overflows, with s(x) g'(u) = {sdg!r} at u = {u[k]!r}")
+            raise SolverError(f"Newton step not finite at iteration {iters}: {cause}")
         # damp by halving until the residual norm actually decreases
         t = 1.0
         for _ in range(30):

@@ -212,7 +212,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("line,cause", [
         ("max_iters = -1", "max_iters must be >= 0, got -1"),
         ('h = "' + "+".join(["x"] * 900) + '"', "nested 900 levels deep, more than 100"),
-    ], ids=["negative_max_iters", "deep_expression"])
+        ("b = 0.5", "b must be 0 when lambda > 0, got lambda = 2.0 and b = 0.5: "),
+    ], ids=["negative_max_iters", "deep_expression", "b_with_lambda"])
     def test_refused_input_exit2(self, tmp_path, capsys, line, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "3"}
@@ -233,7 +234,7 @@ class TestSolveCommand:
         ('s = "1e308*10"', 1, "s(x) = inf at collocation point x = 0.8535533905932737"),
         ("tol = nan", 2, "tol must be finite, got nan"),
         ("a = 1e308", 1, "stop level overflows"),
-        ("b = 1e308", 1, "Newton step not finite at iteration 0"),
+        ('h = "1.7e308"', 1, "Newton step not finite at iteration 0"),
         ('h = "sin(1e308*10*x)"', 1,
          "expression evaluation failed: sin of inf is undefined"
          " while evaluating h(x) at x=0.8535533905932737 in 'sin(1e+308*10*x)'"),

@@ -82,6 +82,15 @@ class TestAssembleResidual:
         with pytest.raises(expr.EvalError, match="s\\(x\\)"):
             assemble_residual(problem, basis, D1, D2, np.zeros(4))
 
+    @pytest.mark.parametrize("C", [np.zeros(3), np.zeros(6), np.zeros((5, 1))])
+    def test_coefficient_length_checked(self, C):
+        # refused before the matmul with Phi, which would fail unnamed
+        problem = lane_emden(1)
+        basis, D1, D2 = _matrices(problem, 4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient vector has shape {C.shape}, expected (5,)")):
+            assemble_residual(problem, basis, D1, D2, C)
+
 
 class TestSolve:
     def test_constant_nonlinearity_exact(self):
@@ -197,6 +206,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(lane_emden(1), 1)
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_b_refused_when_lambda_positive(self, alpha):
+        # lambda / x^alpha D^(alpha) u is unbounded at x = 0 unless b = 0
+        with pytest.raises(ValueError, match=re.escape(
+                "b must be 0 when lambda > 0, got lambda = 2.0 and b = 0.5: ")
+                + ".*unbounded at x = 0"):
+            _with(lane_emden(5, alpha), b=0.5)
+        # lambda = 0 leaves b free
+        assert _with(lane_emden(5, alpha), lam=0.0, b=0.5).b == 0.5
+
 
 def _with(problem, **changes):
     fields = {k: getattr(problem, k) for k in ("alpha", "lam", "s", "g", "h", "a", "b")}
@@ -245,8 +264,8 @@ class TestNonFiniteInput:
             ):
                 solve(_with(lane_emden(1), a=1e308), 4)
 
-    @pytest.mark.parametrize("b", [1e307, 1e308])
-    def test_non_finite_newton_step_names_itself(self, b):
+    @pytest.mark.parametrize("h", ["1.7e308", "-1.7e308"])
+    def test_non_finite_newton_step_names_itself(self, h):
         # the linear solve overflows into NaN: refused before the residual
         # at the trial point is evaluated, so numpy warns of nothing
         with warnings.catch_warnings():
@@ -255,7 +274,18 @@ class TestNonFiniteInput:
                 SolverError,
                 match=r"^Newton step not finite at iteration 0: J d = -r gives d\[0\] = nan$",
             ):
-                solve(_with(lane_emden(1), b=b), 4)
+                solve(_with(lane_emden(1), h=expr.parse(h, {"x"})), 4)
+
+    def test_non_finite_jacobian_names_its_row(self):
+        # s g'(u) = 1e308 is finite, but s g'(u) B(x) overflows in J: the
+        # step is refused naming J's row, not d.  numpy's overflow warning
+        # from that product stays, as silencing it costs every Jacobian
+        x0 = collocation_points(4)[0]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(SolverError, match=re.escape(
+                    f"Newton step not finite at iteration 0: the Jacobian row at collocation "
+                    f"point x = {x0!r} overflows, with s(x) g'(u) = 1e+308 at u = 1.0")):
+                solve(_with(lane_emden(1), s=expr.parse("1e308", {"x"})), 4)
 
 
 class TestExactNewton:
@@ -313,6 +343,32 @@ class TestExactNewton:
             assert report.residual_inf <= tol
         monkeypatch.undo()
         assert report.C.tobytes() == solve(problem, N, tol=tol).C.tobytes()
+
+    @pytest.mark.parametrize("problem,N", [(lane_emden(1, 0.6), 12), (mixed_power(0.7), 12)],
+                             ids=["floor_stop", "nonzero_h"])
+    def test_floor_equals_its_formula_at_every_call(self, monkeypatch, problem, N):
+        # the floor forms |A| and |rhs| itself: at each call it must equal
+        # 4 eps max(|A||C| + |s g(Phi C)| + |rhs|), with A from an uncached
+        # record and s, g, rhs evaluated here.  The largest row holds s g in
+        # both cells, and h too in nonzero_h (h = 0 in lane_emden)
+        basis, D1, D2 = _matrices(problem, N)
+        A = solver._operator(N, problem.alpha, problem.lam, D1, D2).A
+        pts, f = collocation_points(N), problem.compiled
+        Phi = eval_basis(np.array(pts), basis)
+        rhs = np.array([f.h(x) for x in pts] + [problem.a, problem.b])
+        values, floor = [], solver._floor
+
+        def checked(system, sg, C):
+            sg_here = np.array([f.s(x) * f.g(u) for x, u in zip(pts, (Phi @ C).tolist())])
+            scale = np.abs(A) @ np.abs(C) + np.abs(rhs)
+            scale[: N - 1] += np.abs(sg_here)
+            values.append((floor(system, sg, C),
+                           solver.ROUNDING_FLOOR_FACTOR * np.finfo(float).eps * scale.max()))
+            return values[-1][0]
+
+        monkeypatch.setattr(solver, "_floor", checked)
+        solve(problem, N)
+        assert values and all(got == want for got, want in values)
 
     def test_missing_derivative_is_an_eval_error(self):
         problem = EmdenFowlerProblem(
@@ -379,9 +435,9 @@ class TestFloorBound:
          (lane_emden(1, 0.6), 12, {}),
          (lane_emden(5), 6, {"tol": 0.0, "max_iters": 8}),
          (_with(lane_emden(1), a=1e308), 4, {}),
-         (_with(lane_emden(1), b=1e308), 4, {})],
+         (_with(lane_emden(1), h=expr.parse("1.7e308", {"x"})), 4, {})],
         ids=["cubic", "quintic", "exp", "sin", "mixed_pool0", "mixed_pool1990",
-             "shifted_pool20", "shifted_pool1990", "floor_stop", "tol0", "a1e308", "b1e308"],
+             "shifted_pool20", "shifted_pool1990", "floor_stop", "tol0", "a1e308", "h1.7e308"],
     )
     def test_bound_changes_no_outcome(self, monkeypatch, problem, N, options):
         bound, floor_at, pairs = solver._floor_bound, solver._floor, []
@@ -405,7 +461,6 @@ class TestFloorBound:
 
 def _clear_caches():
     solver._grid.cache_clear()
-    solver._caputo_matrices.cache_clear()
     solver._cached_operator.cache_clear()
 
 
@@ -435,11 +490,10 @@ class TestOperatorCache:
     def test_cached_arrays_refuse_writes(self):
         problem = _cubic()
         solve(problem, 6)
-        _, _, x, Phi, B0, table_rows, _ = solver._grid(6)
-        D1, D2 = solver._caputo_matrices(problem.alpha, 6)
+        _, _, Phi, B0, table_rows, _ = solver._grid(6)
         op = solver._cached_operator(problem.alpha, 6, problem.lam)
         assert op.R == float(np.abs(op.A).sum(axis=1).max())
-        arrays = (x, Phi, B0, table_rows, D1.D, D2.D, op.Phi, op.A, op.absA, op.table_rows)
+        arrays = (Phi, B0, table_rows, op.Phi, op.A, op.table_rows)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a.copy()  # same values: a failing check corrupts nothing
@@ -459,11 +513,14 @@ class TestOperatorCache:
         solve(_cubic(0.75), 6)
         assert calls == {"build_D": 2, "build_basis": 1}
         # another problem on the same key reuses every operator
-        solve(_cubic(0.75, lam=2.0, a=0.5, c=-0.5), 6)
+        solve(_cubic(0.75, a=0.5, c=-0.5), 6)
         assert calls == {"build_D": 2, "build_basis": 1}
-        # a new order on the same N builds its matrices only
-        solve(_cubic(1.0), 6)
+        # a new lambda or a new order on the same N builds its record,
+        # Caputo matrices included, on the cached grid
+        solve(_cubic(0.75, lam=2.0), 6)
         assert calls == {"build_D": 4, "build_basis": 1}
+        solve(_cubic(1.0), 6)
+        assert calls == {"build_D": 6, "build_basis": 1}
         _clear_caches()
 
     def test_assemble_residual_uses_the_matrices_it_is_given(self):
@@ -536,7 +593,7 @@ def test_lane_emden_sweep_converges(n, alpha, N):
 class TestCompiledExpressions:
     def test_constant_gamma_terms_of_h_are_evaluated_once(self, monkeypatch):
         problem = mixed_power(0.7)
-        solver._caputo_matrices(0.7, 10)  # the Caputo matrices call gamma too
+        solver._cached_operator(0.7, 10, problem.lam)  # the Caputo matrices call gamma too
         calls = []
         gamma = math.gamma
         monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
