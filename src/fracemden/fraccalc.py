@@ -14,16 +14,22 @@ Supported orders are 0 < alpha <= 2.
 The projection of x^beta, beta = i - alpha, onto polynomials of degree N
 solves a Hilbert-type (Cauchy) system with a closed-form inverse (M.-D.
 Choi, Amer. Math. Monthly 90 (1983) 301-312), which gives its monomial
-coefficients (see build_E); the integer inverse of M maps them to basis
+coefficients (see _expansions); the integer inverse of M maps them to basis
 coefficients, so no Gram system is formed or solved.  alpha enters as its
 exact binary rational p/q, all coefficients of a row share one integer
-denominator, and all rows are formed at once in integer arrays with one
+denominator, and the rows are formed together in integer arrays with one
 correctly rounded integer quotient per entry -- the same float as the exact
-rational solution of the normal equations.  Only the Gamma-factor scaling is
-floating point; Gamma is the standard library's math.gamma, which is within
-a few ulp and returns the exact factorials through 22!.  For integer alpha
-every x^(i-alpha) lies in the basis span, every Gamma ratio is a quotient
-of exact factorials, and the resulting matrix is exactly integer.
+rational solution of the normal equations.  A solve of order alpha needs
+the orders alpha and 2 alpha = 2p/q, which share q: build_D_pair stacks the
+rows of both into one pass (one prefix/suffix product, one sparse product
+with the nonzeros of the cached integer inverse, one quotient per entry),
+and each order's row denominators slide along its consecutive rows, one
+multiplication and one exact division per row.  build_E is the same pass
+over one order.  Only the Gamma-factor scaling is floating point; Gamma is
+the standard library's math.gamma, which is within a few ulp and returns
+the exact factorials through 22!.  For integer alpha every x^(i-alpha)
+lies in the basis span, every Gamma ratio is a quotient of exact
+factorials, and the resulting matrix is exactly integer.
 """
 
 from __future__ import annotations
@@ -152,46 +158,73 @@ def build_Z(alpha: float, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _weighted_inverse(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks (B_n has only powers of n's parity) of the integer
-    inverse of M with row j scaled by (-1)^j (N+j+1)! / (j!^2 (N-j)!)."""
+def _weighted_inverse(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of G, the integer inverse of M with row j scaled by
+    c_j = (-1)^j (N+j+1)! / (j!^2 (N-j)!), column by column: their rows J,
+    their values and the start of each column's run, so that
+    num G = add.reduceat(num[:, J] * values, starts, axis=1).  Under a
+    third of G is nonzero (B_n has only powers of n's parity, and M^{-1}
+    is triangular), and no run is empty: B_k is monic, so G[k, k] = c_k."""
     f = math.factorial
     c = [(-1) ** j * f(N + j + 1) // (f(j) ** 2 * f(N - j)) for j in range(N + 1)]
     G = monomial_to_boubaker_int(N) * np.array(c, dtype=object)[:, None]
-    G.setflags(write=False)
-    return G[0::2, 0::2], G[1::2, 1::2]
+    K, J = np.nonzero(G.T)  # column-major, so K is sorted
+    tables = (J, G[J, K], np.searchsorted(K, np.arange(N + 1)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _expansions(alpha: float, N: int, multiples: tuple[int, ...]) -> list[np.ndarray]:
+    """Expansion matrices of the orders m alpha, m in multiples, from one
+    stacked pass: row i of each holds the basis coefficients of the L2
+    projection of x^(i - m alpha); rows below ceil(m alpha) are zero.
+
+    With alpha = p/q exactly, the orders m p/q share q.  With t_k = kq - mp,
+    row i of order m has b = t_i >= 0, and its monomial coefficients are
+    w_j = c_j num_j / den with the integer weight
+    c_j = (-1)^j (N+j+1)!/(j!^2 (N-j)!), num_j = q prod_{l!=j} (lq - b) from
+    one prefix and one suffix product, and den = prod_{k=i+1}^{i+N+1} t_k,
+    whose factors are all positive: along an order's consecutive rows den
+    slides by one multiplication and one exact division.  The row is
+    num G / den for the cached G = diag(c) M^{-1}, summed over its nonzeros
+    only.  The rows of all orders are stacked into one set of whole-array
+    integer operations (object arrays of Python ints), with one correctly
+    rounded integer quotient per entry.
+    """
+    p, q = float(alpha).as_integer_ratio()  # exact value of the float argument
+    cas = [_check_order(m * alpha, N) for m in multiples]  # m alpha is exact for m = 1, 2
+    b, den = [], []
+    for m, ca in zip(multiples, cas):
+        t = [k * q - m * p for k in range(ca, 2 * N + 2)]  # t[k - ca] = t_k
+        b += t[: N + 1 - ca]  # rows i = ca..N
+        d = math.prod(t[1 : N + 2])
+        den.append(d)
+        for r in range(1, N + 1 - ca):  # row i = ca + r
+            d = d * t[r + N + 1] // t[r]
+            den.append(d)
+    f = np.arange(N + 1).astype(object) * q - np.array(b, dtype=object)[:, None]
+    f[:, 0] *= q  # only the prefix products read column 0
+    num = np.full_like(f, q)
+    np.multiply.accumulate(f[:, :-1], 1, out=num[:, 1:])
+    num[:, :-1] *= np.multiply.accumulate(f[:, :0:-1], 1)[:, ::-1]
+    J, values, starts = _weighted_inverse(N)
+    X = np.add.reduceat(num[:, J] * values, starts, axis=1)  # num G
+    rows = X / np.array(den, dtype=object)[:, None]
+    out, top = [], 0
+    for ca in cas:
+        E = np.zeros((N + 1, N + 1))
+        E[ca:] = rows[top : top + N + 1 - ca]
+        top += N + 1 - ca
+        out.append(E)
+    return out
 
 
 def build_E(alpha: float, basis: BoubakerBasis) -> np.ndarray:
     """Expansion matrix of the fractional powers: row i holds the basis
     coefficients of the L2 projection of x^(i-alpha); rows below
-    ceil(alpha) are zero.
-
-    With alpha = p/q exactly and beta = b/q, b = iq - p >= 0, the monomial
-    coefficients of row i are w_j = c_j num_j / den with the integer weight
-    c_j = (-1)^j (N+j+1)!/(j!^2 (N-j)!), num_j = q prod_{l!=j} (lq - b)
-    from one prefix and one suffix product, and den = prod_{m<=N}
-    (b + (1+m)q) > 0.  The row is num G / den for the cached G = diag(c)
-    M^{-1}, applied block by parity.  All rows are formed at once in
-    whole-array integer arithmetic (object arrays of Python ints), with one
-    correctly rounded integer quotient per entry.
-    """
-    N = basis.N
-    ca = _check_order(alpha, N)
-    p, q = float(alpha).as_integer_ratio()  # exact value of the float argument
-    lq = np.arange(N + 1).astype(object) * q
-    b = np.arange(ca, N + 1).astype(object)[:, None] * q - p  # one row per i
-    f = lq - b
-    f[:, 0] *= q  # only the prefix products read column 0
-    num = np.full_like(f, q)
-    np.multiply.accumulate(f[:, :-1], 1, out=num[:, 1:])
-    num[:, :-1] *= np.multiply.accumulate(f[:, :0:-1], 1)[:, ::-1]
-    den = np.multiply.reduce(lq + (b + q), 1)[:, None]
-    even, odd = _weighted_inverse(N)
-    E = np.zeros((N + 1, N + 1))
-    E[ca:, 0::2] = (num[:, 0::2] @ even) / den
-    E[ca:, 1::2] = (num[:, 1::2] @ odd) / den
-    return E
+    ceil(alpha) are zero.  The one-order case of _expansions."""
+    return _expansions(alpha, basis.N, (1,))[0]
 
 
 @dataclass(frozen=True)
@@ -215,3 +248,12 @@ def build_D(alpha: float, basis: BoubakerBasis) -> OperationalMatrix:
     _check_order(alpha, basis.N)
     D = basis.M @ build_Z(alpha, basis.N) @ build_E(alpha, basis)
     return OperationalMatrix(alpha=alpha, N=basis.N, D=D)
+
+
+def build_D_pair(alpha: float, basis: BoubakerBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices D of build_D(alpha, basis) and build_D(2 alpha, basis),
+    bit for bit, with both expansions from one pass of _expansions: the
+    pair a solve of order alpha reads.  Needs 0 < alpha <= 1."""
+    E_alpha, E_2alpha = _expansions(alpha, basis.N, (1, 2))
+    return (basis.M @ build_Z(alpha, basis.N) @ E_alpha,
+            basis.M @ build_Z(2.0 * alpha, basis.N) @ E_2alpha)

@@ -8,7 +8,8 @@ would ruin float64: the exact Gram matrix, one integer product over the
 common denominator of H, backs the positive-definiteness certificate, and
 the exact solve serves the Vandermonde interpolation in approx.  The
 operational matrix uses neither solve: its expansion matrix E comes from
-closed-form Legendre moments in exact integer arithmetic (see fraccalc).
+Choi's closed-form inverse of the Hilbert-type system and the integer
+inverse of M, in exact integer arithmetic (see fraccalc).
 """
 
 from __future__ import annotations

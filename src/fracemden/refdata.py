@@ -102,15 +102,6 @@ D_FRACTIONAL = {
     ),
 }
 
-# reference coefficient vectors for the closed-form solves
-EXACT_COEFFS = {
-    "lane_emden_n0_N2": (4.0 / 3.0, 0.0, -1.0 / 6.0),
-    "lane_emden_n1_N3": (25673.0 / 19113.0, -256.0 / 19113.0,
-                         -3280.0 / 19113.0, 256.0 / 19113.0),
-    "shifted_power_N2": (1.0, 0.0, 1.0),
-    "mixed_power_N4": (-1.0, -1.0, 1.0, 1.0, 0.0),
-}
-
 # assembled-system fractions for lane_emden(1) at N = 3, collocation points
 # 3/4 and 1/4: coefficients of (c0, c1, c2, c3)
 LINEAR_SYSTEM_N3 = {

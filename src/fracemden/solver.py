@@ -28,11 +28,12 @@ diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)], the largest
 row sum R of |A|, the basis at the error-table points and the Gram
 condition estimate.  One builder makes it from N, alpha, lambda and the
 two Caputo matrices, on a grid cached per N; solve caches it per key,
-Caputo matrices included, and assemble_residual builds it, uncached, from
-the matrices it is given.  A solve then evaluates s, h and max|rhs| once,
-and u = Phi C once per Newton iterate for both r and J.  The stop level
-is max(tol, floor); the rounding floor, an |A||C| product, is computed
-only where it can decide: while the residual is above tol and not
+with both matrices from one exact pass (fraccalc.build_D_pair), and
+assemble_residual builds it, uncached, from the matrices it is given.
+A solve then evaluates s, h and max|rhs| once, and u = Phi C once per
+Newton iterate for both r and J.  The stop level is max(tol, floor);
+the rounding floor, an |A||C| product, is computed only where it can
+decide: while the residual is above tol and not
 already above the floor's upper bound
 4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
 the rounding of both, so every decision is the floor's own.
@@ -255,23 +256,21 @@ def _grid(N: int):
 
 
 def _operator(N: int, alpha: float, lam: float,
-              D_alpha: OperationalMatrix, D_2alpha: OperationalMatrix) -> _Operator:
+              D_alpha: np.ndarray, D_2alpha: np.ndarray) -> _Operator:
     """The read-only operator of the degree-N grid with the matrices given:
     A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)]
     and the largest row sum of |A|."""
     _, pts, Phi, B0, table_rows, cond_Q = _grid(N)
     damping = lam / np.array(pts) ** alpha
-    A = np.vstack([Phi @ D_2alpha.D.T + damping[:, None] * (Phi @ D_alpha.D.T),
-                   B0, D_alpha.D @ B0])
+    A = np.vstack([Phi @ D_2alpha.T + damping[:, None] * (Phi @ D_alpha.T),
+                   B0, D_alpha @ B0])
     A.setflags(write=False)
     return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()), table_rows, cond_Q)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cached_operator(alpha: float, N: int, lam: float) -> _Operator:
-    basis = _grid(N)[0]
-    return _operator(N, alpha, lam, fraccalc.build_D(alpha, basis),
-                     fraccalc.build_D(2.0 * alpha, basis))
+    return _operator(N, alpha, lam, *fraccalc.build_D_pair(alpha, _grid(N)[0]))
 
 
 def _assemble(problem: EmdenFowlerProblem, op: _Operator) -> _System:
@@ -354,7 +353,8 @@ def assemble_residual(
     DEGREE_CAP is refused here too.
     """
     C = coefficient_vector(C, basis)
-    system = _assemble(problem, _operator(basis.N, problem.alpha, problem.lam, D_alpha, D_2alpha))
+    system = _assemble(problem, _operator(basis.N, problem.alpha, problem.lam,
+                                          D_alpha.D, D_2alpha.D))
     return _residual(problem, system, C)[0]
 
 
@@ -388,8 +388,8 @@ def solve(
     type raises TypeError naming the argument.
 
     The operator record of (alpha, N, lambda) is built once per key,
-    with its two Caputo matrices, and cached read-only, so a repeated key
-    builds no matrix.  Each iterate forms Phi C once, for r
+    with both Caputo matrices from one exact pass, and cached read-only,
+    so a repeated key builds no matrix.  Each iterate forms Phi C once, for r
     and J, and the floor is computed only while the residual is above tol
     and at or below the floor's cached-operator bound (_floor_bound), so
     the result is the same as computing it at every iterate.

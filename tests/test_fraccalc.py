@@ -13,6 +13,7 @@ from fracemden.fraccalc import (
     GeneralizedPolynomial,
     _weighted_inverse,
     build_D,
+    build_D_pair,
     build_E,
     build_Z,
     caputo_monomial,
@@ -302,15 +303,21 @@ class TestClosedFormKernel:
         assert all(type(v) is int for v in Minv.flat)
         assert (Minv @ M).tolist() == np.eye(N + 1, dtype=int).tolist()
 
-    def test_weighted_blocks_are_the_scaled_inverse(self):
+    def test_weighted_nonzeros_are_the_scaled_inverse(self):
         N, f = 7, math.factorial
         scaled = [
             [(-1) ** j * f(N + j + 1) // (f(j) ** 2 * f(N - j)) * v for v in row]
             for j, row in enumerate(monomial_to_boubaker_int(N).tolist())
         ]
-        even, odd = _weighted_inverse(N)
-        assert even.tolist() == [row[0::2] for row in scaled[0::2]]
-        assert odd.tolist() == [row[1::2] for row in scaled[1::2]]
+        J, values, starts = _weighted_inverse(N)
+        # column k's run holds exactly its nonzeros, and no run is empty
+        G = [[0] * (N + 1) for _ in range(N + 1)]
+        for k, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(J)])):
+            assert hi > lo
+            for j, v in zip(J[lo:hi].tolist(), values[lo:hi]):
+                assert v != 0
+                G[j][k] = v
+        assert G == scaled
         assert all(v == 0 for j, row in enumerate(scaled) for n, v in enumerate(row) if (j - n) % 2)
 
     def test_cached_tables_refuse_writes(self):
@@ -319,7 +326,7 @@ class TestClosedFormKernel:
         # the change of basis is a transposed view: its base is cached too
         for table in (Minv, *_weighted_inverse(6), legendre_to_boubaker_int(6).base):
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 2
+                table[(0,) * table.ndim] = 2
 
 
 class TestBuildE:
@@ -499,6 +506,36 @@ class TestBuildD:
         op = build_D(1.0, build_basis(3))
         with pytest.raises(ValueError):
             op.D[0, 0] = 1.0
+
+
+class TestBuildDPair:
+    """The paired builder that solve uses, against two build_D calls."""
+
+    @pytest.mark.parametrize("N", range(2, 16))
+    def test_equals_two_build_D_byte_for_byte(self, N):
+        # full-mantissa orders in (1/2, 1), alpha-sweep pool points, an
+        # order with a short binary expansion, and the exact integer orders
+        # 1 and 2; tobytes() tells -0.0 from 0.0
+        rng = random.Random(N)
+        alphas = [1.0 - rng.uniform(0.0, 0.5) for _ in range(8)]
+        alphas += [_sweep_alpha(k) for k in (0, 1999, rng.randrange(2000))]
+        alphas += [0.75, 1.0]
+        basis = build_basis(N)
+        for alpha in alphas:
+            pair = build_D_pair(alpha, basis)
+            for D, order in zip(pair, (alpha, 2.0 * alpha)):
+                ref = build_D(order, basis).D
+                assert (D.dtype, D.shape) == (ref.dtype, ref.shape)
+                assert D.tobytes() == ref.tobytes(), (alpha, order)
+
+    def test_order_domain(self):
+        basis = build_basis(4)
+        with pytest.raises(ValueError, match="order must lie in"):
+            build_D_pair(1.5, basis)  # 2 alpha = 3 > 2
+        with pytest.raises(ValueError, match="order must lie in"):
+            build_D_pair(0.0, basis)
+        with pytest.raises(ValueError, match="exceeds degree bound"):
+            build_D_pair(1.0, build_basis(1))
 
 
 class TestConsistencyDecay:

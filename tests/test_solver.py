@@ -352,7 +352,7 @@ class TestExactNewton:
         # record and s, g, rhs evaluated here.  The largest row holds s g in
         # both cells, and h too in nonzero_h (h = 0 in lane_emden)
         basis, D1, D2 = _matrices(problem, N)
-        A = solver._operator(N, problem.alpha, problem.lam, D1, D2).A
+        A = solver._operator(N, problem.alpha, problem.lam, D1.D, D2.D).A
         pts, f = collocation_points(N), problem.compiled
         Phi = eval_basis(np.array(pts), basis)
         rhs = np.array([f.h(x) for x in pts] + [problem.a, problem.b])
@@ -499,7 +499,7 @@ class TestOperatorCache:
                 a[...] = a.copy()  # same values: a failing check corrupts nothing
 
     def test_operators_built_once_per_key(self, monkeypatch):
-        calls = {"build_D": 0, "build_basis": 0}
+        calls = {"build_D_pair": 0, "build_basis": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -507,20 +507,21 @@ class TestOperatorCache:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fraccalc, "build_D", counting("build_D", fraccalc.build_D))
+        monkeypatch.setattr(fraccalc, "build_D_pair",
+                            counting("build_D_pair", fraccalc.build_D_pair))
         monkeypatch.setattr(solver, "build_basis", counting("build_basis", build_basis))
         _clear_caches()
         solve(_cubic(0.75), 6)
-        assert calls == {"build_D": 2, "build_basis": 1}
+        assert calls == {"build_D_pair": 1, "build_basis": 1}
         # another problem on the same key reuses every operator
         solve(_cubic(0.75, a=0.5, c=-0.5), 6)
-        assert calls == {"build_D": 2, "build_basis": 1}
-        # a new lambda or a new order on the same N builds its record,
-        # Caputo matrices included, on the cached grid
+        assert calls == {"build_D_pair": 1, "build_basis": 1}
+        # a new lambda or a new order on the same N builds its record, both
+        # Caputo matrices from one paired pass, on the cached grid
         solve(_cubic(0.75, lam=2.0), 6)
-        assert calls == {"build_D": 4, "build_basis": 1}
+        assert calls == {"build_D_pair": 2, "build_basis": 1}
         solve(_cubic(1.0), 6)
-        assert calls == {"build_D": 6, "build_basis": 1}
+        assert calls == {"build_D_pair": 3, "build_basis": 1}
         _clear_caches()
 
     def test_assemble_residual_uses_the_matrices_it_is_given(self):
