@@ -12,8 +12,8 @@ All output is deterministic: identical inputs give byte-identical files.
 
 Each command imports the modules it uses when it runs: ``solve`` loads
 problems, solver and expr, ``oracle-check`` fraccalc and approx, and
-``reproduce`` approx and refdata on top of ``solve``'s, so a fresh
-interpreter compiles only those.
+``reproduce`` refdata on top of ``solve``'s, so a fresh interpreter
+compiles only those.
 """
 
 from __future__ import annotations
@@ -129,20 +129,11 @@ def cmd_solve(args, out) -> int:
         print(f"error: expression evaluation failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    grid = np.linspace(0.0, 1.0, 101)
-    sol_rows = []
+    grid = np.linspace(0.0, 1.0, 101).tolist()
+    u = eval_series(report.C, grid, build_basis(spec.N)).tolist()
     exact = spec.problem.compiled.exact
-    for x, u in zip(grid, eval_series(report.C, grid, build_basis(spec.N)).tolist()):
-        ex = None
-        if exact is not None:
-            try:
-                ex = exact(float(x))
-            except expr.EvalError:
-                ex = None  # removable singularity on the grid, e.g. sin(x)/x at 0
-        if ex is None:
-            sol_rows.append([_f17(x), _f17(u), "", ""])
-        else:
-            sol_rows.append([_f17(x), _f17(u), _f17(ex), _f17(abs(u - ex))])
+    sol_rows = (solver._exact_rows(exact, grid, u) if exact is not None
+                else [(x, ux, None, None) for x, ux in zip(grid, u)])
 
     lines = [
         f"degree bound N = {spec.N}",
@@ -157,12 +148,12 @@ def cmd_solve(args, out) -> int:
     if report.error_table is not None:
         lines.append("")
         lines.append("x approx exact abs_error")
-        for x, approx_v, exact_v, err_v in report.error_table:
-            lines.append(
-                f"{_f17(x)} {_f17(approx_v)} {_f17(exact_v)} {_f17(err_v)}"
-            )
-        max_err = max(row[3] for row in report.error_table)
-        lines.append(f"max abs error = {_f17(max_err)}")
+        for row in report.error_table:  # x and u_N only where exact is undefined
+            lines.append(" ".join(_f17(v) for v in row if v is not None))
+        errs = [row[3] for row in report.error_table if row[3] is not None]
+        if errs:
+            max_err = max(errs)
+            lines.append(f"max abs error = {_f17(max_err)}")
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -174,7 +165,7 @@ def cmd_solve(args, out) -> int:
         _write_csv(
             os.path.join(args.out, "solution.csv"),
             ["x", "u_N", "exact", "abs_error"],
-            sol_rows,
+            [["" if v is None else _f17(v) for v in row] for row in sol_rows],
         )
         with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -208,13 +199,10 @@ def _error_status(computed: float, reference: float) -> str:
 
 def _solve_errors(problem, N, grid):
     """|u_N - exact| of solve(problem, N) at each grid point."""
-    from . import approx, solver
+    from . import solver
 
-    rows = approx.max_abs_error_on_grid(
-        problem.compiled.exact,
-        solver.solve(problem, N).C, build_basis(N), grid,
-    )
-    return [err for _, err in rows]
+    u = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
+    return [row[3] for row in solver._exact_rows(problem.compiled.exact, grid, u)]
 
 
 def _reproduce_error_table(name, cases, grid, reference, out_dir, out):
@@ -311,14 +299,13 @@ def _reproduce_fig3(out_dir, out):
 
     problem = problems.exp_square()
     grid = np.linspace(0.0, 1.0, 101).tolist()
-    exact = list(map(problem.compiled.exact, grid))
-    solved, err = {}, {}
+    table = {}  # N -> (x, u_N, exact, |u_N - exact|) rows
     for N in (4, 6):
-        solved[N] = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
-        err[N] = [abs(u - ex) for u, ex in zip(solved[N], exact)]
-    rows = [list(map(_f17, row))
-            for row in zip(grid, solved[4], solved[6], exact, err[4], err[6])]
-    max_err = {N: max(e) for N, e in err.items()}
+        u = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
+        table[N] = solver._exact_rows(problem.compiled.exact, grid, u)
+    rows = [list(map(_f17, (x, u4, u6, ex, e4, e6)))
+            for (x, u4, ex, e4), (_, u6, _, e6) in zip(table[4], table[6])]
+    max_err = {N: max(row[3] for row in t) for N, t in table.items()}
     _write_csv(
         os.path.join(out_dir, "fig3_data.csv"),
         ["x", "u_N4", "u_N6", "exact", "abs_err_N4", "abs_err_N6"],
@@ -434,25 +421,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="degree bound")
     p.add_argument("--force", action="store_true",
                    help="allow degrees beyond the conditioning cap")
+    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("opmatrix", help="print a fractional differentiation matrix")
     p.add_argument("--alpha", type=float, required=True, help="order in (0, 2]")
     p.add_argument("--n", type=int, required=True, help="degree bound")
     p.add_argument("--format", choices=("text", "csv"), default="text")
+    p.set_defaults(func=cmd_opmatrix)
 
     p = sub.add_parser("solve", help="solve a problem file and write artifacts")
     p.add_argument("problem_file")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reproduce", help="regenerate the benchmark tables")
     p.add_argument("--target", required=True,
                    choices=tuple(_REPRODUCE_TARGETS) + ("all",))
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("oracle-check",
                        help="validate an operational matrix against the exact derivative")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=cmd_oracle_check)
 
     return parser
 
@@ -464,15 +456,8 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code else EXIT_OK
-    dispatch = {
-        "basis": cmd_basis,
-        "opmatrix": cmd_opmatrix,
-        "solve": cmd_solve,
-        "reproduce": cmd_reproduce,
-        "oracle-check": cmd_oracle_check,
-    }
     try:
-        return dispatch[args.command](args, out)
+        return args.func(args, out)
     except ValueError as err:
         # domain errors raised by the library itself: fraccalc._check_order
         # (order range, ceil(alpha) <= N) and build_basis (degree bound and cap)

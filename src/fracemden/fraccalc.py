@@ -192,8 +192,8 @@ def _expansions(alpha: float, N: int, multiples: tuple[int, ...]) -> list[np.nda
     integer operations (object arrays of Python ints), with one correctly
     rounded integer quotient per entry.
     """
-    p, q = float(alpha).as_integer_ratio()  # exact value of the float argument
     cas = [_check_order(m * alpha, N) for m in multiples]  # m alpha is exact for m = 1, 2
+    p, q = float(alpha).as_integer_ratio()  # exact value of the float argument
     b, den = [], []
     for m, ca in zip(multiples, cas):
         t = [k * q - m * p for k in range(ca, 2 * N + 2)]  # t[k - ca] = t_k
@@ -239,14 +239,20 @@ class OperationalMatrix:
         self.D.setflags(write=False)
 
 
+def _caputo_matrices(alpha: float, basis: BoubakerBasis,
+                     multiples: tuple[int, ...]) -> list[np.ndarray]:
+    """D = M Z E of each order m alpha, m in multiples, from one _expansions call."""
+    E = _expansions(alpha, basis.N, multiples)
+    return [basis.M @ build_Z(m * alpha, basis.N) @ E_m for m, E_m in zip(multiples, E)]
+
+
 def build_D(alpha: float, basis: BoubakerBasis) -> OperationalMatrix:
     """Operational matrix D = M Z E with rows 0..ceil(alpha)-1 exactly zero.
 
     For integer alpha each x^(i-alpha) lies in the span, the exact
     projection recovers its integer coordinates, and D is exact.
     """
-    _check_order(alpha, basis.N)
-    D = basis.M @ build_Z(alpha, basis.N) @ build_E(alpha, basis)
+    D = _caputo_matrices(alpha, basis, (1,))[0]
     return OperationalMatrix(alpha=alpha, N=basis.N, D=D)
 
 
@@ -254,6 +260,4 @@ def build_D_pair(alpha: float, basis: BoubakerBasis) -> tuple[np.ndarray, np.nda
     """The matrices D of build_D(alpha, basis) and build_D(2 alpha, basis),
     bit for bit, with both expansions from one pass of _expansions: the
     pair a solve of order alpha reads.  Needs 0 < alpha <= 1."""
-    E_alpha, E_2alpha = _expansions(alpha, basis.N, (1, 2))
-    return (basis.M @ build_Z(alpha, basis.N) @ E_alpha,
-            basis.M @ build_Z(2.0 * alpha, basis.N) @ E_2alpha)
+    return tuple(_caputo_matrices(alpha, basis, (1, 2)))

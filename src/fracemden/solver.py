@@ -45,7 +45,8 @@ finite, raise SolverError naming the point: Newton's stop test cannot see
 a NaN.  So do a stop level that overflows (a = 1e308, say), naming the
 row whose scale overflowed, since it would accept any residual, and a
 Newton step that is not finite (h = 1.7e308, say), naming the Jacobian
-row that overflowed if one did (s = 1e308, say).
+row that overflowed if one did (s = 1e308, say).  exact is report-only:
+where it raises EvalError it never fails a solve (_exact_rows).
 """
 
 from __future__ import annotations
@@ -182,14 +183,16 @@ def problem_from_strings(alpha, lam, s, g, h, a, b, exact=None) -> EmdenFowlerPr
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution coefficients plus diagnostics of one collocation solve."""
+    """Solution coefficients plus diagnostics of one collocation solve; an
+    error_table row is (x, u_N, exact, |u_N - exact|), the last two None
+    where exact cannot be evaluated (_exact_rows)."""
 
     C: np.ndarray
     points: tuple[float, ...]
     newton_iters: int
     residual_inf: float
     cond_Q: float
-    error_table: tuple[tuple[float, float, float, float], ...] | None
+    error_table: tuple[tuple[float, float, float | None, float | None], ...] | None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -221,6 +224,21 @@ def _eval_all(f, name: str, values, where: str) -> list:
                     err.subexpr,
                 ) from err
         raise
+
+
+def _exact_rows(exact, xs, u) -> list[tuple[float, float, float | None, float | None]]:
+    """(x, u_N, exact(x), |u_N - exact(x)|) at each point x with u_N(x) in
+    u.  exact is report-only: where it raises EvalError (a removable
+    singularity such as sin(x)/x at 0) the last two fields are None."""
+    rows = []
+    for x, ux in zip(xs, u):
+        try:
+            ex = exact(x)
+        except expr.EvalError:
+            rows.append((x, ux, None, None))
+        else:
+            rows.append((x, ux, ex, abs(ux - ex)))
+    return rows
 
 
 class _Operator(NamedTuple):
@@ -464,12 +482,8 @@ def solve(
 
     error_table = None
     if problem.exact is not None:
-        rows = []
-        exact = _eval_all(problem.compiled.exact, "x", _TABLE_XS, "exact(x)")
-        for x, bx, exact_val in zip(_TABLE_XS, op.table_rows, exact):
-            approx = float(C @ bx)
-            rows.append((x, approx, exact_val, abs(approx - exact_val)))
-        error_table = tuple(rows)
+        u = [float(C @ bx) for bx in op.table_rows]
+        error_table = tuple(_exact_rows(problem.compiled.exact, _TABLE_XS, u))
 
     return SolveReport(
         C=C,

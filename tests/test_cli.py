@@ -162,6 +162,44 @@ class TestSolveCommand:
         errs = [float(r[3]) for r in sol[1:]]
         assert max(errs) <= 1e-12
 
+    @staticmethod
+    def _linear_file(tmp_path, exact):
+        prob = tmp_path / "p.prob"
+        prob.write_text('alpha = 1\nlambda = 0\ns = "1"\ng = "u"\nh = "0"\n'
+                        f'a = 1\nb = 1\nN = 3\nexact = "{exact}"\n')
+        return str(prob)
+
+    def test_exact_undefined_at_a_point_is_left_empty(self, tmp_path):
+        # exact is report-only: its removable singularity at x = 0.5 leaves
+        # that point bare and the solve succeeds
+        prob = self._linear_file(tmp_path, "sin(x - 0.5)/(x - 0.5)")
+        code, out = run("solve", prob, "--out", str(tmp_path / "o"))
+        assert code == 0
+        lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        rows = lines[lines.index("x approx exact abs_error") + 1 : -1]
+        assert len(rows) == 10
+        bare = [row.split() for row in rows if row.startswith("0.5 ")]
+        assert len(bare) == 1 and len(bare[0]) == 2
+        errs = [float(row.split()[3]) for row in rows if not row.startswith("0.5 ")]
+        assert len(errs) == 9 and all(map(math.isfinite, errs))
+        assert lines[-1] == f"max abs error = {max(errs):.17g}"
+        assert f"max abs error vs exact = {max(errs):.3e}" in out
+        sol = read_csv(tmp_path / "o" / "solution.csv")
+        row = next(r for r in sol[1:] if float(r[0]) == 0.5)
+        assert row[1] == bare[0][1] and row[2:] == ["", ""]
+
+    def test_exact_undefined_everywhere_prints_no_max_error(self, tmp_path):
+        prob = self._linear_file(tmp_path, "ln(x - 2)")
+        code, out = run("solve", prob, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert "max abs error" not in out
+        report = (tmp_path / "o" / "report.txt").read_text()
+        assert "max abs error" not in report
+        rows = report.splitlines()[-10:]
+        assert [len(row.split()) for row in rows] == [2] * 10
+        sol = read_csv(tmp_path / "o" / "solution.csv")
+        assert [r[2:] for r in sol[1:]] == [["", ""]] * 101
+
     def test_missing_key_exit2(self, tmp_path, capsys):
         bad = tmp_path / "bad.prob"
         bad.write_text('alpha = 1\nlambda = 2\ns = "1"\ng = "u"\na = 1\nb = 0\nN = 3\n')

@@ -537,6 +537,15 @@ class TestBuildDPair:
         with pytest.raises(ValueError, match="exceeds degree bound"):
             build_D_pair(1.0, build_basis(1))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_order_is_named_by_every_builder(self, alpha):
+        # the order is checked before its integer ratio is taken, which
+        # NaN and inf do not have
+        basis = build_basis(4)
+        for build in (build_E, build_D, build_D_pair):
+            with pytest.raises(ValueError, match=f"order must lie in .*, got {alpha}$"):
+                build(alpha, basis)
+
 
 class TestConsistencyDecay:
     def test_l2_reconstruction_error_decreases(self):

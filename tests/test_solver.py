@@ -161,6 +161,28 @@ class TestSolve:
         )
         assert solve(bare, 3).error_table is None
 
+    def test_exact_undefined_at_a_table_point_leaves_that_row_bare(self):
+        # exact is report-only: sin(x - 0.5)/(x - 0.5) divides by zero at
+        # x = 0.5, which must not fail a solve whose Newton has converged
+        problem = solver.problem_from_strings(1.0, 0.0, "1", "u", "0", 1.0, 1.0,
+                                              exact="sin(x - 0.5)/(x - 0.5)")
+        report = solve(problem, 3)
+        basis = build_basis(3)
+        table = report.error_table
+        assert [row[0] for row in table] == [k / 10.0 for k in range(1, 11)]
+        assert table[4] == (0.5, eval_series(report.C, 0.5, basis), None, None)
+        for x, u, ex, err in table[:4] + table[5:]:
+            assert u == eval_series(report.C, x, basis)
+            assert ex == math.sin(x - 0.5) / (x - 0.5)
+            assert err == abs(u - ex) and math.isfinite(err)
+
+    def test_exact_undefined_everywhere_gives_bare_rows(self):
+        problem = solver.problem_from_strings(1.0, 0.0, "1", "u", "0", 1.0, 1.0,
+                                              exact="ln(x - 2)")
+        report = solve(problem, 3)
+        assert [row[2:] for row in report.error_table] == [(None, None)] * 10
+        assert report.C.tobytes() == solve(_with(problem, exact=None), 3).C.tobytes()
+
     def test_conditioning_warning_attached(self):
         report = solve(lane_emden(1), 8)
         assert report.cond_Q > 1e12
