@@ -231,10 +231,11 @@ def coefficient_vector(C, basis: BoubakerBasis) -> np.ndarray:
 def eval_series(C, x, basis: BoubakerBasis):
     """Evaluate the series sum_n C[n] * B_n(x): a float for a scalar x; for
     a 1-D array of points, the array of those floats, each the same dot
-    product C . B(x_k) as the scalar call, bit for bit (B(x) @ C would
-    not be: BLAS may sum a matrix-vector product in another order)."""
+    product C . B(x_k) as the scalar call, bit for bit: np.vecdot takes
+    each row's dot product as the scalar call does, while B(x) @ C may sum
+    a matrix-vector product in another order."""
     C = coefficient_vector(C, basis)
     B = eval_basis(x, basis)
     if B.ndim == 1:
         return float(C @ B)
-    return np.array([C @ row for row in B])
+    return np.vecdot(B, C)

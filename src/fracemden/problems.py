@@ -22,9 +22,10 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import expr
-from .solver import EmdenFowlerProblem, problem_from_strings
+from .solver import EmdenFowlerProblem
 
 REQUIRED_KEYS = ("alpha", "lambda", "s", "g", "h", "a", "b", "N")
 OPTIONAL_KEYS = ("exact", "tol", "max_iters")
@@ -148,13 +149,67 @@ def parse_problem_file(path) -> ProblemSpec:
 # -- built-in benchmark problems --------------------------------------------
 #
 # All four have known closed-form solutions, which makes them the
-# reproduction and regression suite.  Fractional variants take the order as
-# a parameter and inline it into the expression strings, which
-# problem_from_strings(alpha, lam, s, g, h, a, b, exact) parses.
+# reproduction and regression suite.  Each expression is a template over
+# the placeholders A1, A2, A3, which stand for the floats alpha, 2 alpha and
+# 3 alpha.  A template is parsed once per process; binding it rebuilds only
+# the nodes above a placeholder, with each placeholder a Num, and shares
+# every other subtree.  The trees equal those of parsing the expression
+# with the three values written in as reprs, and a nan or infinite alpha,
+# whose repr would not parse, reaches the problem's range check.
+
+_SLOTS = ("A1", "A2", "A3")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+@lru_cache(maxsize=64)
+def _template(src: str, var: str):
+    """src parsed over var and the placeholders, as a function of the tuple
+    of placeholder values that returns the bound tree."""
+    tree = expr.parse(src, {var, *_SLOTS})
+    return _binder(tree) or (lambda values: tree)
+
+
+def _binder(e):
+    """A function of the placeholder values building e with each placeholder
+    Var as a Num, or None where e holds no placeholder."""
+    t = type(e)
+    if t is expr.Var and e.name in _SLOTS:
+        i = _SLOTS.index(e.name)
+        return lambda values: expr.Num(values[i])
+    if t is expr.Neg:
+        arg = _binder(e.arg)
+        return arg and (lambda values: expr.Neg(arg(values)))
+    if t is expr.BinOp:
+        parts = (e.lhs, e.rhs)
+    elif t is expr.Call:
+        parts = e.args
+    else:  # a Num or the expression's variable
+        return None
+    binders = [_binder(p) for p in parts]
+    if not any(binders):
+        return None
+    fs = [b or (lambda values, p=p: p) for b, p in zip(binders, parts)]
+    if t is expr.BinOp:
+        op, (lhs, rhs) = e.op, fs
+        return lambda values: expr.BinOp(op, lhs(values), rhs(values))
+    fn = e.fn
+    return lambda values: expr.Call(fn, tuple([f(values) for f in fs]))
+
+
+def _builtin(alpha: float, lam: float, s: str, g: str, h: str, a: float,
+             exact: str | None = None) -> EmdenFowlerProblem:
+    """The problem with b = 0 whose expressions are the templates given,
+    bound at alpha; an alpha outside (1/2, 1] raises ValueError."""
+    values = (float(alpha), float(2 * alpha), float(3 * alpha))
+    return EmdenFowlerProblem(
+        alpha=values[0],
+        lam=lam,
+        s=_template(s, "x")(values),
+        g=_template(g, "u")(values),
+        h=_template(h, "x")(values),
+        a=a,
+        b=0.0,
+        exact=None if exact is None else _template(exact, "x")(values),
+    )
 
 
 def lane_emden(n: int, alpha: float = 1.0) -> EmdenFowlerProblem:
@@ -173,7 +228,7 @@ def lane_emden(n: int, alpha: float = 1.0) -> EmdenFowlerProblem:
             5: "(1 + x^2/3)^(-0.5)",
         }.get(n)
     g = "1" if n == 0 else ("u" if n == 1 else f"u^{n}")
-    return problem_from_strings(alpha, 2.0, "1", g, "0", 1.0, 0.0, exact)
+    return _builtin(alpha, 2.0, "1", g, "0", 1.0, exact)
 
 
 def shifted_power(alpha: float) -> EmdenFowlerProblem:
@@ -182,17 +237,13 @@ def shifted_power(alpha: float) -> EmdenFowlerProblem:
     D^(2a)u + (1/x^a) D^(a)u + (1 + x^a) u = h with h chosen so the power
     solution is exact; u(0)=3, D^(a)u(0)=0.
     """
-    a1, a2 = _fmt(alpha), _fmt(2 * alpha)
-    h = (
-        f"gamma(1 + {a2}) + gamma(1 + {a2})/gamma(1 + {a1})"
-        f" + (1 + x^{a1})*(3 + x^{a2})"
-    )
-    return problem_from_strings(alpha, 1.0, f"1 + x^{a1}", "u", h, 3.0, 0.0, f"3 + x^{a2}")
+    h = "gamma(1 + A2) + gamma(1 + A2)/gamma(1 + A1) + (1 + x^A1)*(3 + x^A2)"
+    return _builtin(alpha, 1.0, "1 + x^A1", "u", h, 3.0, "3 + x^A2")
 
 
 def exp_square() -> EmdenFowlerProblem:
     """u'' + (2/x) u' - 2(2x^2+3) u = 0 with exact solution exp(x^2)."""
-    return problem_from_strings(1.0, 2.0, "-2*(2*x^2 + 3)", "u", "0", 1.0, 0.0, "exp(x^2)")
+    return _builtin(1.0, 2.0, "-2*(2*x^2 + 3)", "u", "0", 1.0, "exp(x^2)")
 
 
 def mixed_power(alpha: float) -> EmdenFowlerProblem:
@@ -202,11 +253,9 @@ def mixed_power(alpha: float) -> EmdenFowlerProblem:
     solution pins u(0) = 1; see the reproduction notes on the published
     initial value.)
     """
-    a1, a2, a3 = _fmt(alpha), _fmt(2 * alpha), _fmt(3 * alpha)
     h = (
-        f"-9 + gamma(1 + {a2})/gamma(1 + {a1}) + gamma(1 + {a2})"
-        f" + (gamma(1 + {a3})/gamma(1 + {a1})"
-        f" + gamma(1 + {a3})/gamma(1 + {a2}))*x^{a1}"
-        f" - 9*x^{a2} - 9*x^{a3}"
+        "-9 + gamma(1 + A2)/gamma(1 + A1) + gamma(1 + A2)"
+        " + (gamma(1 + A3)/gamma(1 + A1) + gamma(1 + A3)/gamma(1 + A2))*x^A1"
+        " - 9*x^A2 - 9*x^A3"
     )
-    return problem_from_strings(alpha, 1.0, "-9", "u", h, 1.0, 0.0, f"1 + x^{a2} + x^{a3}")
+    return _builtin(alpha, 1.0, "-9", "u", h, 1.0, "1 + x^A2 + x^A3")

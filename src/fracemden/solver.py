@@ -482,7 +482,7 @@ def solve(
 
     error_table = None
     if problem.exact is not None:
-        u = [float(C @ bx) for bx in op.table_rows]
+        u = np.vecdot(op.table_rows, C).tolist()
         error_table = tuple(_exact_rows(problem.compiled.exact, _TABLE_XS, u))
 
     return SolveReport(

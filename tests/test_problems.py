@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
-from fracemden import expr
+from fracemden import expr, problems
 from fracemden.problems import (
     ProblemFileError,
     exp_square,
@@ -12,6 +13,7 @@ from fracemden.problems import (
     parse_problem_text,
     shifted_power,
 )
+from fracemden.solver import problem_from_strings
 
 GOOD = """\
 # a comment line
@@ -166,3 +168,83 @@ class TestBuiltins:
         p = exp_square()
         assert expr.evaluate(p.s, {"x": 0.5}) == pytest.approx(-7.0, rel=1e-15)
         assert expr.evaluate(p.exact, {"x": 1.0}) == pytest.approx(math.e, rel=1e-14)
+
+
+# The built-ins as they were written before templates: each expression an
+# f-string with alpha, 2 alpha and 3 alpha pasted in as reprs and parsed.
+def _fmt(v):
+    return repr(float(v))
+
+
+def _string_lane_emden(n, alpha=1.0):
+    exact = None
+    if alpha == 1.0:
+        exact = {0: "1 - x^2/6", 1: "sin(x)/x", 5: "(1 + x^2/3)^(-0.5)"}.get(n)
+    g = "1" if n == 0 else ("u" if n == 1 else f"u^{n}")
+    return problem_from_strings(alpha, 2.0, "1", g, "0", 1.0, 0.0, exact)
+
+
+def _string_shifted_power(alpha):
+    a1, a2 = _fmt(alpha), _fmt(2 * alpha)
+    h = (
+        f"gamma(1 + {a2}) + gamma(1 + {a2})/gamma(1 + {a1})"
+        f" + (1 + x^{a1})*(3 + x^{a2})"
+    )
+    return problem_from_strings(alpha, 1.0, f"1 + x^{a1}", "u", h, 3.0, 0.0, f"3 + x^{a2}")
+
+
+def _string_exp_square():
+    return problem_from_strings(1.0, 2.0, "-2*(2*x^2 + 3)", "u", "0", 1.0, 0.0, "exp(x^2)")
+
+
+def _string_mixed_power(alpha):
+    a1, a2, a3 = _fmt(alpha), _fmt(2 * alpha), _fmt(3 * alpha)
+    h = (
+        f"-9 + gamma(1 + {a2})/gamma(1 + {a1}) + gamma(1 + {a2})"
+        f" + (gamma(1 + {a3})/gamma(1 + {a1})"
+        f" + gamma(1 + {a3})/gamma(1 + {a2}))*x^{a1}"
+        f" - 9*x^{a2} - 9*x^{a3}"
+    )
+    return problem_from_strings(alpha, 1.0, "-9", "u", h, 1.0, 0.0, f"1 + x^{a2} + x^{a3}")
+
+
+# every 10th point of the benchmark's alpha-sweep pool of 2000 over [0.7, 1),
+# then the ends of the domain, a midpoint and an int order
+ALPHAS = [0.7 + 0.3 * (k + 0.5) / 2000 for k in range(0, 2000, 10)] + [0.51, 0.75, 1.0, 1]
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("built, by_string", [
+        (mixed_power, _string_mixed_power),
+        (shifted_power, _string_shifted_power),
+        *[(lambda a, n=n: lane_emden(n, a), lambda a, n=n: _string_lane_emden(n, a))
+          for n in (0, 1, 2, 5)],
+    ], ids=["mixed_power", "shifted_power", "lane_emden0", "lane_emden1", "lane_emden2",
+            "lane_emden5"])
+    def test_trees_equal_the_string_route(self, built, by_string):
+        for alpha in ALPHAS:
+            got, want = built(alpha), by_string(alpha)
+            assert got == want, alpha
+            assert repr(got) == repr(want), alpha
+
+    def test_exp_square_equals_the_string_route(self):
+        assert exp_square() == _string_exp_square()
+        assert repr(exp_square()) == repr(_string_exp_square())
+
+    def test_each_template_parsed_once(self, monkeypatch):
+        problems._template.cache_clear()
+        sources, parse = [], expr.parse
+        def counting_parse(src, variables):
+            sources.append(src)
+            return parse(src, variables)
+        monkeypatch.setattr(expr, "parse", counting_parse)
+        for alpha in ALPHAS[:100]:
+            mixed_power(alpha), shifted_power(alpha), lane_emden(5, alpha), exp_square()
+        assert sources and max(Counter(sources).values()) == 1
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [mixed_power, shifted_power, lambda a: lane_emden(1, a)],
+                             ids=["mixed_power", "shifted_power", "lane_emden"])
+    def test_non_finite_alpha_refused_as_out_of_range(self, build, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1/2, 1\], got"):
+            build(alpha)

@@ -161,6 +161,23 @@ class TestSolve:
         )
         assert solve(bare, 3).error_table is None
 
+    @pytest.mark.parametrize("N", range(2, 16))
+    def test_error_table_u_equals_the_scalar_dot(self, N):
+        # u = c . B(x) with c spanning many magnitudes, solved as u'' = h at
+        # alpha = 1, so that a different summation order of C . B(x) would
+        # change the last bits of the table's u_N column
+        basis = build_basis(N)
+        rng = np.random.default_rng(N)
+        c = rng.normal(size=N + 1) * 10.0 ** rng.uniform(-3, 8, size=N + 1)
+        m = (basis.M.T @ c).tolist()  # monomial coefficients
+        u = " + ".join(f"({v!r})*x^{k}" for k, v in enumerate(m))
+        h = " + ".join(f"({k * (k - 1) * v!r})*x^{k - 2}" for k, v in enumerate(m) if k > 1)
+        report = solve(solver.problem_from_strings(1.0, 0.0, "0", "u", h or "0", m[0], m[1], u), N)
+        assert np.max(np.abs(report.C - c)) <= 1e-5 * np.max(np.abs(c))  # C is c
+        got = np.array([row[1] for row in report.error_table])
+        want = np.array([float(report.C @ bx) for bx in eval_basis(solver._TABLE_XS, basis)])
+        assert got.tobytes() == want.tobytes()
+
     def test_exact_undefined_at_a_table_point_leaves_that_row_bare(self):
         # exact is report-only: sin(x - 0.5)/(x - 0.5) divides by zero at
         # x = 0.5, which must not fail a solve whose Newton has converged
