@@ -140,7 +140,8 @@ def cmd_solve(args, out) -> int:
         "collocation points = " + " ".join(_f17(x) for x in report.points),
         f"newton iterations = {report.newton_iters}",
         f"residual_inf = {_f17(report.residual_inf)}",
-        f"cond_Q = {_f17(report.cond_Q)}",
+        "cond_J = " + ("none: no Jacobian was factorized" if report.cond_J is None
+                       else _f17(report.cond_J)),
     ]
     for w in report.warnings:
         lines.append(f"warning: {w}")

@@ -65,6 +65,9 @@ def condition_estimate(A: np.ndarray) -> float:
 
     Accurate while kappa stays well below 1/eps.  Past that it saturates
     near 1e17-1e18, which says only that double precision is exhausted.
+    Nothing under src/ calls it (a solve reports kappa_2 of its Jacobian,
+    SolveReport.cond_J); it stays for the public API and because the
+    benchmark's tracer wraps it by name.
     """
     return float(np.linalg.cond(A, 1))
 

@@ -25,18 +25,19 @@ order, so values are bit-identical to walking the expression trees.
 What does not depend on the problem is one read-only operator record per
 (alpha, N, lambda): the points, Phi, A = [Phi D_2alpha^T +
 diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)], the largest
-row sum R of |A|, the basis at the error-table points and the Gram
-condition estimate.  One builder makes it from N, alpha, lambda and the
-two Caputo matrices, on a grid cached per N; solve caches it per key,
-with both matrices from one exact pass (fraccalc.build_D_pair), and
-assemble_residual builds it, uncached, from the matrices it is given.
-A solve then evaluates s, h and max|rhs| once, and u = Phi C once per
-Newton iterate for both r and J.  The stop level is max(tol, floor);
-the rounding floor, an |A||C| product, is computed only where it can
-decide: while the residual is above tol and not
-already above the floor's upper bound
+row sum R of |A| and the basis at the error-table points.  One builder
+makes it from N, alpha, lambda and the two Caputo matrices, on a grid
+cached per N; solve caches it per key, with both matrices from one exact
+pass (fraccalc.build_D_pair), and assemble_residual builds it, uncached,
+from the matrices it is given.  A solve then evaluates s, h and max|rhs|
+once, and u = Phi C once per Newton iterate for both r and J.  The stop
+level is max(tol, floor); the rounding floor, an |A||C| product, is
+computed only where it can decide: while the residual is above tol and
+not already above the floor's upper bound
 4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
-the rounding of both, so every decision is the floor's own.
+the rounding of both, so every decision is the floor's own.  The report
+keeps the last Jacobian Newton factorized; its kappa_2 (cond_J) and the
+warning keyed on it are computed on first access, so a solve runs no SVD.
 
 lambda, a, b and tol must be finite, and b must be 0 when lambda > 0 (a
 solution regular at x = 0 has D^(a) u(0) = 0 there).  An s(x) that is not
@@ -60,11 +61,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import expr, fraccalc, linalg
+from . import expr, fraccalc
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
 from .polybasis import DEGREE_CAP, BoubakerBasis, build_basis, coefficient_vector, eval_basis
 
-CONDITION_WARNING_THRESHOLD = 1e12
+# SolveReport warns above this kappa_2(J), 2.2e-6 relative error in a Newton
+# step: on the built-ins, only at N >= 12, where answers turn to rounding noise.
+CONDITION_WARNING_THRESHOLD = 1e10
 # Newton stops once the residual is within this many unit roundoffs of the
 # scale |A||C| + |s g(Phi C)| + |rhs| of its own terms: evaluating r at the
 # exact root in double precision cannot promise less.  With a factor of 1,
@@ -191,12 +194,26 @@ class SolveReport:
     points: tuple[float, ...]
     newton_iters: int
     residual_inf: float
-    cond_Q: float
+    J: np.ndarray | None  # the last Jacobian Newton factorized; None if no step
     error_table: tuple[tuple[float, float, float | None, float | None], ...] | None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.C.setflags(write=False)
+        if self.J is not None:
+            self.J.setflags(write=False)
+
+    @cached_property
+    def cond_J(self) -> float | None:
+        """kappa_2(J), one SVD on first access; None where J is None."""
+        return None if self.J is None else float(np.linalg.cond(self.J))
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        if self.cond_J is None or self.cond_J <= CONDITION_WARNING_THRESHOLD:
+            return ()
+        return (f"Jacobian condition number {self.cond_J:.3e} exceeds "
+                f"{CONDITION_WARNING_THRESHOLD:.0e}; coefficients may carry "
+                f"significant rounding error",)
 
 
 def collocation_points(N: int) -> list[float]:
@@ -249,7 +266,6 @@ class _Operator(NamedTuple):
     A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
     R: float  # the largest row sum of |A|, for the floor's bound
     table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
-    cond_Q: float  # condition estimate of the Gram matrix
 
 
 class _System(NamedTuple):
@@ -263,14 +279,14 @@ class _System(NamedTuple):
 
 @lru_cache(maxsize=DEGREE_CAP + 1)
 def _grid(N: int):
-    """The basis of degree N with its points, its read-only Phi, B(0) and
-    error-table rows, and the Gram condition estimate."""
+    """The basis of degree N with its points and its read-only Phi, B(0)
+    and error-table rows."""
     basis = build_basis(N)
     pts = tuple(collocation_points(N))
     arrays = (eval_basis(pts, basis), eval_basis(0.0, basis), eval_basis(_TABLE_XS, basis))
     for a in arrays:
         a.setflags(write=False)
-    return basis, pts, *arrays, linalg.condition_estimate(linalg.gram(basis))
+    return basis, pts, *arrays
 
 
 def _operator(N: int, alpha: float, lam: float,
@@ -278,12 +294,12 @@ def _operator(N: int, alpha: float, lam: float,
     """The read-only operator of the degree-N grid with the matrices given:
     A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)]
     and the largest row sum of |A|."""
-    _, pts, Phi, B0, table_rows, cond_Q = _grid(N)
+    _, pts, Phi, B0, table_rows = _grid(N)
     damping = lam / np.array(pts) ** alpha
     A = np.vstack([Phi @ D_2alpha.T + damping[:, None] * (Phi @ D_alpha.T),
                    B0, D_alpha @ B0])
     A.setflags(write=False)
-    return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()), table_rows, cond_Q)
+    return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()), table_rows)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -434,7 +450,7 @@ def solve(
             f"x = {op.pts[k]!r}: its terms are A C = {(op.A @ C)[k]}, "
             f"s(x) g(a) = {sg[k]} and h(x) = {system.rhs[k]}"
         )
-    iters = 0
+    iters, J = 0, None
     # the stop level is max(tol, floor): the floor matters only above tol,
     # and only where its bound does not already lie below the residual
     while rnorm > tol and (rnorm > _floor_bound(system, sg, C)
@@ -471,15 +487,6 @@ def solve(
         C, r, sg, u, rnorm = Cn, rn, sgn, un, rn_norm
         iters += 1
 
-    cond_q = op.cond_Q
-    warnings = ()
-    if cond_q > CONDITION_WARNING_THRESHOLD:
-        warnings = (
-            f"Gram matrix condition estimate {cond_q:.3e} exceeds "
-            f"{CONDITION_WARNING_THRESHOLD:.0e}; coefficients may carry "
-            f"significant rounding error",
-        )
-
     error_table = None
     if problem.exact is not None:
         u = np.vecdot(op.table_rows, C).tolist()
@@ -490,9 +497,8 @@ def solve(
         points=op.pts,
         newton_iters=iters,
         residual_inf=rnorm,
-        cond_Q=cond_q,
+        J=J,
         error_table=error_table,
-        warnings=warnings,
     )
 
 

@@ -151,8 +151,22 @@ class TestSolveCommand:
         assert len(sol) == 102  # header + 101 points
         report = (out_dir / "report.txt").read_text()
         assert "newton iterations" in report
-        assert "cond_Q" in report
+        [cond] = [line for line in report.splitlines() if line.startswith("cond_J = ")]
+        assert 1.0 <= float(cond.split(" = ")[1]) < 1e3  # kappa_2(J) = 14.8
+        assert "cond_Q" not in report and "warning" not in report
         assert "max abs error" in report
+
+    def test_accepted_start_point_reports_no_jacobian(self, tmp_path):
+        # u = 0 solves it with no Newton step, and g' does not exist at u = 0
+        prob = tmp_path / "p.prob"
+        prob.write_text('alpha = 1\nlambda = 0\ns = "1"\ng = "sqrt(u)"\nh = "0"\n'
+                        'a = 0\nb = 0\nN = 4\n')
+        code, out = run("solve", str(prob), "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert "0 Newton iteration(s)" in out
+        lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        assert "cond_J = none: no Jacobian was factorized" in lines
+        assert not any(line.startswith("warning") for line in lines)
 
     def test_exact_representation_error(self, tmp_path):
         prob = os.path.join(PROBLEMS_DIR, "shifted_power_alpha1.prob")

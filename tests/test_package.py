@@ -77,3 +77,14 @@ def test_solve_loads_neither_quadrature_nor_reference_data(tmp_path):
     loaded = loaded_modules(run_cli("solve", prob, "--out", str(tmp_path / "o")))
     assert {"fracemden.solver", "fracemden.problems", "fracemden.expr"} <= loaded
     assert {"fracemden.approx", "fracemden.refdata", "numpy.polynomial"} & loaded == set()
+
+
+@pytest.mark.parametrize("argv", [("solve", os.path.join(PROBLEMS_DIR, "lane_emden_n5.prob")),
+                                  ("reproduce", "--target", "table1")],
+                         ids=["solve", "reproduce_table1"])
+def test_solve_paths_load_no_gram_layer(tmp_path, argv):
+    # the solve path builds no Gram matrix, so neither the linear-algebra
+    # module nor exact rationals are imported
+    loaded = loaded_modules(run_cli(*argv, "--out", str(tmp_path / "o")))
+    assert "fracemden.solver" in loaded
+    assert {"fracemden.linalg", "fractions", "decimal"} & loaded == set()

@@ -201,10 +201,20 @@ class TestSolve:
         assert report.C.tobytes() == solve(_with(problem, exact=None), 3).C.tobytes()
 
     def test_conditioning_warning_attached(self):
-        report = solve(lane_emden(1), 8)
-        assert report.cond_Q > 1e12
+        report = solve(lane_emden(1), 15)  # kappa_2(J) = 1.4e13
+        assert report.cond_J > 100 * solver.CONDITION_WARNING_THRESHOLD
         assert any("condition" in w for w in report.warnings)
-        assert solve(lane_emden(1), 4).warnings == ()
+        low = solve(lane_emden(1), 4)  # kappa_2(J) = 229
+        assert low.cond_J < 1e3 and low.warnings == ()
+
+    def test_accepted_start_point_factorizes_nothing(self):
+        # u = 0 solves it, so Newton takes no step; g' does not exist at
+        # u = 0, so a Jacobian formed at the start point would raise
+        problem = solver.problem_from_strings(1.0, 0.0, "1", "sqrt(u)", "0", 0.0, 0.0)
+        report = solve(problem, 4)
+        assert report.newton_iters == 0 and report.residual_inf == 0.0
+        assert report.J is None and report.cond_J is None
+        assert report.warnings == ()
 
     def test_nonconvergence_raises(self):
         with pytest.raises(NonConvergenceError) as err:
@@ -428,10 +438,6 @@ class TestExactNewton:
             solve(problem, 2)
         assert err.value.iteration == 0
 
-    def test_gram_condition_is_unchanged(self):
-        report = solve(lane_emden(1), 6)
-        assert report.cond_Q == linalg.condition_estimate(linalg.gram(build_basis(6)))
-
 
 def _manufactured(g, alpha=0.9, lam=1.0, a=1.0, c=0.25):
     """Problem in g with s = 1 whose forcing makes u* = a + c x^(2 alpha)
@@ -524,12 +530,12 @@ class TestOperatorCache:
                 assert cold.residual_inf == warm.residual_inf
                 assert cold.error_table is not None
                 assert np.array_equal(cold.error_table, warm.error_table)
-                assert cold.cond_Q == warm.cond_Q
+                assert cold.J.tobytes() == warm.J.tobytes()
 
     def test_cached_arrays_refuse_writes(self):
         problem = _cubic()
         solve(problem, 6)
-        _, _, Phi, B0, table_rows, _ = solver._grid(6)
+        _, _, Phi, B0, table_rows = solver._grid(6)
         op = solver._cached_operator(problem.alpha, 6, problem.lam)
         assert op.R == float(np.abs(op.A).sum(axis=1).max())
         arrays = (Phi, B0, table_rows, op.Phi, op.A, op.table_rows)
@@ -607,6 +613,42 @@ class TestOperatorCache:
         D = fraccalc.build_D(1.0, basis)
         with pytest.raises(ValueError, match="cap"):
             assemble_residual(problem, basis, D, fraccalc.build_D(2.0, basis), np.zeros(17))
+
+
+class TestConditioning:
+    def test_solve_runs_no_svd_and_builds_no_gram_matrix(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("called on the solve path")
+
+        with monkeypatch.context() as m:
+            for owner, name in ((np.linalg, "cond"), (np.linalg, "svd"),
+                                (linalg, "gram"), (linalg, "condition_estimate")):
+                m.setattr(owner, name, refused)
+            _clear_caches()
+            linear, nonlinear = solve(mixed_power(0.7), 10), solve(lane_emden(5), 8)
+        assert linear.newton_iters == 1 and nonlinear.newton_iters > 1
+        for report in (linear, nonlinear):
+            assert report.cond_J == np.linalg.cond(report.J)
+            with pytest.raises(ValueError):
+                report.J[0, 0] = report.J[0, 0]
+        # a linear g: J is the same at every iterate, the returned C included
+        problem = mixed_power(0.7)
+        system = solver._assemble(problem, solver._cached_operator(problem.alpha, 10, problem.lam))
+        J = solver._jacobian(problem, system, (system.op.Phi @ linear.C).tolist())
+        assert J.tobytes() == linear.J.tobytes()
+        for report in (nonlinear, solve(lane_emden(5), 8)):  # kappa read, and not yet
+            copy = pickle.loads(pickle.dumps(report))
+            assert copy.J.tobytes() == nonlinear.J.tobytes()
+            assert copy.cond_J == nonlinear.cond_J
+
+    def test_cond_and_warnings_computed_once_on_first_access(self, monkeypatch):
+        calls, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda J: calls.append(J) or cond(J))
+        report = solve(lane_emden(1), 15)
+        assert calls == []
+        assert report.warnings and len(calls) == 1
+        assert report.cond_J == cond(report.J) and len(calls) == 1
+        assert report.warnings is report.warnings
 
 
 # lane_emden(n, alpha) over the supported domain.  (5, 0.6, 12) is left
