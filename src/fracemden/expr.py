@@ -29,13 +29,22 @@ an overflow raises EvalError naming the subexpression.
 
 compile_expression (the value) and compile_with_derivative (the value and
 its derivative) turn a tree, in one pass over its nodes, into nested
-closures of one variable.  Subtrees free of it are evaluated then and
-folded into constants, unless they raise.  A power whose exponent folds
-to a float b >= 0 (u^3, pow(u, 5)) becomes a closure of its base alone,
-with the checks of the power rules that read only b settled once, there.
-A call makes the same math.* calls and double operations, in the same
-order, as a walk of the tree, so values and errors are identical; evaluate
-and evaluate_with_derivative compile and call once.
+closures of one variable.  Every operator node goes through one step,
+_node: its rule (_rule) is applied to its compiled operands, folded into
+a constant where they all are constants and it raises nothing, else kept
+as one closure (a subtree that raises stays one, so each call raises
+again).  A power whose exponent folds to a float b >= 0 (u^3, pow(u, 5))
+becomes a closure of its base alone, with the checks of the power rules
+that read only b settled once, there.  A call makes the same math.* calls
+and double operations, in the same order, as a walk of the tree, so
+values and errors are identical; evaluate and evaluate_with_derivative
+compile and call once.
+
+compile_template compiles a tree over placeholder variables once, and
+binds values to them later: each bind builds the nodes above a
+placeholder, each once, and sends each through the same _node, so the
+tree and its closures are those of substituting the values and compiling,
+with every subtree free of the placeholders compiled only once.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 
 class ParseError(Exception):
@@ -424,78 +434,180 @@ _RULES = {
 }
 
 
-def _compile(e: Expression, name: str | None, leaf, bindings: dict, dual: bool):
-    """e as a closure of the variable `name` (leaf is the variable's own),
-    or as its value if e is free of name and evaluates without error; other
-    variables are looked up in bindings, and dual asks for (value,
-    derivative) pairs.  Every operator node compiles its operands, then is
-    folded or becomes one closure over its rule; a subtree that raises stays
-    a closure, so each call raises as a walk would."""
+def _rule(e: Expression):
+    """The rule and the operands of an operator node, refused in the
+    parser's words where its name is unknown or its operand count wrong."""
     t = type(e)
-    if t is Num:
-        return (e.value, 0.0) if dual else e.value
-    if t is Var:
-        if e.name == name:
-            return leaf
-        args, op = (), lambda: (_lookup(bindings, e), 0.0) if dual else _lookup(bindings, e)
+    if t is BinOp:
+        key, operands = e.op, (e.lhs, e.rhs)
+    elif t is Call:
+        key, operands = e.fn, e.args
+    elif t is Neg:
+        key, operands = Neg, (e.arg,)
     else:
-        if t is BinOp:
-            key, operands = e.op, (e.lhs, e.rhs)
-        elif t is Call:
-            key, operands = e.fn, e.args
-        elif t is Neg:
-            key, operands = Neg, (e.arg,)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        rule = _RULES.get(key)
-        if rule is None:
-            raise EvalError(f"unknown {'operator' if t is BinOp else 'function'} '{key}'", e)
-        if len(operands) != rule.arity:
-            raise EvalError(f"'{key}' takes {rule.arity} argument(s), got {len(operands)}", e)
-        op = rule.dual if dual else rule.value
-        a = _compile(operands[0], name, leaf, bindings, dual)
-        if rule.arity == 1:
-            if callable(a):
-                return lambda v: op(a(v), e)
-            args = (a, e)
-        else:
-            b = _compile(operands[1], name, leaf, bindings, dual)
-            if callable(a):
-                if callable(b):
-                    return lambda v: op(a(v), b(v), e)
-                exponent = b[0] if dual else b
-                if rule.value is _power and type(exponent) is float and exponent >= 0:
-                    power = _power_by(exponent, e, dual)
-                    return lambda v: power(a(v))
-                return lambda v: op(a(v), b, e)
+        raise TypeError(f"not an expression node: {e!r}")
+    rule = _RULES.get(key)
+    if rule is None:
+        raise EvalError(f"unknown {'operator' if t is BinOp else 'function'} '{key}'", e)
+    if len(operands) != rule.arity:
+        raise EvalError(f"'{key}' takes {rule.arity} argument(s), got {len(operands)}", e)
+    return rule, operands
+
+
+def _node(e: Expression, rule: _Rule, dual: bool, a, b=None):
+    """The operator node e, of the rule given, over its compiled operands a
+    and, for a binary rule, b (each a value, or a closure of the variable):
+    folded into its value where every operand is one and the rule raises
+    nothing, else one closure over the rule.  A power whose exponent is a
+    float b >= 0 gets the closure of _power_by; a subtree that raises stays
+    a closure, so each call raises as a walk would."""
+    op = rule.dual if dual else rule.value
+    if rule.arity == 1:
+        if callable(a):
+            return lambda v: op(a(v), e)
+        args = (a, e)
+    else:
+        if callable(a):
             if callable(b):
-                return lambda v: op(a, b(v), e)
-            args = (a, b, e)
+                return lambda v: op(a(v), b(v), e)
+            exponent = b[0] if dual else b
+            if rule.value is _power and type(exponent) is float and exponent >= 0:
+                power = _power_by(exponent, e, dual)
+                return lambda v: power(a(v))
+            return lambda v: op(a(v), b, e)
+        if callable(b):
+            return lambda v: op(a, b(v), e)
+        args = (a, b, e)
     try:
         return op(*args)
     except Exception:  # whatever it is, each call raises it again
         return lambda v: op(*args)
 
 
+def _dual_leaf(v):
+    return float(v), 1.0
+
+
+def _compile(e: Expression, name: str | None, bindings: dict, dual: bool):
+    """e as a closure of the variable `name`, or as its value if e is free
+    of name and evaluates without error; other variables are looked up in
+    bindings, and dual asks for (value, derivative) pairs.  Every operator
+    node compiles its operands, then goes through _node."""
+    t = type(e)
+    if t is Num:
+        return (e.value, 0.0) if dual else e.value
+    if t is Var:
+        if e.name == name:
+            return _dual_leaf if dual else float
+        get = lambda: (_lookup(bindings, e), 0.0) if dual else _lookup(bindings, e)
+        try:
+            return get()
+        except Exception:
+            return lambda v: get()
+    rule, operands = _rule(e)
+    a = _compile(operands[0], name, bindings, dual)
+    b = _compile(operands[1], name, bindings, dual) if rule.arity == 2 else None
+    return _node(e, rule, dual, a, b)
+
+
+def _closure(f):
+    return f if callable(f) else lambda v: f
+
+
 def compile_expression(e: Expression, name: str):
     """e as a function of one float, the value of the variable `name`:
     evaluate(e, {name: v}) with its subtrees free of name folded once, here.
     """
-    f = _compile(e, name, float, {}, False)
-    return f if callable(f) else lambda v: f
+    return _closure(_compile(e, name, {}, False))
 
 
 def compile_with_derivative(e: Expression, name: str):
     """e as a function of one float v returning evaluate_with_derivative(e,
     name, v), folded like compile_expression."""
-    f = _compile(e, name, lambda v: (float(v), 1.0), {}, True)
-    return f if callable(f) else lambda v: f
+    return _closure(_compile(e, name, {}, True))
+
+
+def _forms(node: Expression, rule: _Rule, parts, modes: tuple[bool, ...]) -> tuple:
+    """(node, its compiled form in each mode), from the same of its operands."""
+    return (node, *[_node(node, rule, dual, *[p[m] for p in parts])
+                    for m, dual in enumerate(modes, 1)])
+
+
+def _template(e: Expression, name: str, slots: tuple[str, ...], modes: tuple[bool, ...],
+              used: set[int]):
+    """(e, its compiled form in each mode) where e holds no placeholder,
+    else a function of the placeholder leaves, each such a tuple, that
+    builds the bound node and returns the same tuple of it.  The indices of
+    the placeholders met go into used."""
+    t = type(e)
+    if t is Var and e.name in slots:
+        i = slots.index(e.name)
+        used.add(i)
+        return lambda leaves: leaves[i]
+    if t is Num or t is Var:
+        return (e, *[_compile(e, name, {}, dual) for dual in modes])
+    rule, operands = _rule(e)
+    parts = [_template(p, name, slots, modes, used) for p in operands]
+    if not any(map(callable, parts)):
+        return _forms(e, rule, parts, modes)
+    make = (partial(BinOp, e.op) if t is BinOp else Neg if t is Neg
+            else lambda *args, fn=e.fn: Call(fn, args))
+    if modes != (False,):
+        def bind(leaves):
+            bound = [p(leaves) if callable(p) else p for p in parts]
+            return _forms(make(*[b[0] for b in bound]), rule, bound, modes)
+    # value only, as every bound node of a built-in is: spelled out, a node
+    # binds in about half the time of the general case above
+    elif len(parts) == 2:
+        (lhs, lhs_bound), (rhs, rhs_bound) = [(p, callable(p)) for p in parts]
+
+        def bind(leaves):
+            a, fa = lhs(leaves) if lhs_bound else lhs
+            b, fb = rhs(leaves) if rhs_bound else rhs
+            node = make(a, b)
+            return node, _node(node, rule, False, fa, fb)
+    else:
+        (arg,) = parts
+
+        def bind(leaves):
+            a, fa = arg(leaves)
+            node = make(a)
+            return node, _node(node, rule, False, fa)
+
+    return bind
+
+
+def compile_template(e: Expression, name: str, slots: tuple[str, ...], dual: bool = False):
+    """e, over the variable `name` and the placeholder variables named in
+    slots, as a function bind(values) of one float per placeholder that
+    returns (tree, f), or with dual (tree, f, f_dual): tree is e with each
+    placeholder a Num of its value, f is compile_expression(tree, name) and
+    f_dual compile_with_derivative(tree, name).  The subtrees free of the
+    placeholders are compiled here, once, and shared by every tree; a bind
+    builds and compiles only the nodes above a placeholder, each node once
+    and through _node, as compiling the tree would, so f and f_dual give
+    the same bits and errors, and an error names a node of tree."""
+    modes, used = (False, True) if dual else (False,), set()
+    root = _template(e, name, tuple(slots), modes, used)
+    if not callable(root):
+        fixed = (root[0], *map(_closure, root[1:]))
+        return lambda values: fixed
+
+    def leaf(v):
+        n = Num(v)
+        return (n, v, (v, 0.0)) if dual else (n, v)
+
+    def bind(values):
+        tree, *fs = root({i: leaf(values[i]) for i in used})
+        return (tree, *map(_closure, fs))
+
+    return bind
 
 
 def evaluate(e: Expression, bindings: dict[str, float]) -> float:
     """Evaluate with IEEE double arithmetic; raises EvalError on domain
     problems (carrying the subexpression) or missing bindings."""
-    f = _compile(e, None, None, bindings, False)
+    f = _compile(e, None, bindings, False)
     return f(None) if callable(f) else f
 
 

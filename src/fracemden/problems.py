@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import expr
-from .solver import EmdenFowlerProblem
+from .solver import EmdenFowlerProblem, _Compiled
 
 REQUIRED_KEYS = ("alpha", "lambda", "s", "g", "h", "a", "b", "N")
 OPTIONAL_KEYS = ("exact", "tol", "max_iters")
@@ -151,65 +151,42 @@ def parse_problem_file(path) -> ProblemSpec:
 # All four have known closed-form solutions, which makes them the
 # reproduction and regression suite.  Each expression is a template over
 # the placeholders A1, A2, A3, which stand for the floats alpha, 2 alpha and
-# 3 alpha.  A template is parsed once per process; binding it rebuilds only
-# the nodes above a placeholder, with each placeholder a Num, and shares
-# every other subtree.  The trees equal those of parsing the expression
-# with the three values written in as reprs, and a nan or infinite alpha,
-# whose repr would not parse, reaches the problem's range check.
+# 3 alpha.  A template is parsed and compiled once per process; binding it
+# builds and compiles only the nodes above a placeholder, with each
+# placeholder a Num, and shares every other subtree and its compiled form,
+# so a built-in problem comes with its compiled s, h, g, g' and exact.  The
+# trees equal those of parsing the expression with the three values written
+# in as reprs, the closures those of compiling such trees, and a nan or
+# infinite alpha, whose repr would not parse, reaches the problem's range
+# check.
 
 _SLOTS = ("A1", "A2", "A3")
 
 
 @lru_cache(maxsize=64)
 def _template(src: str, var: str):
-    """src parsed over var and the placeholders, as a function of the tuple
-    of placeholder values that returns the bound tree."""
-    tree = expr.parse(src, {var, *_SLOTS})
-    return _binder(tree) or (lambda values: tree)
-
-
-def _binder(e):
-    """A function of the placeholder values building e with each placeholder
-    Var as a Num, or None where e holds no placeholder."""
-    t = type(e)
-    if t is expr.Var and e.name in _SLOTS:
-        i = _SLOTS.index(e.name)
-        return lambda values: expr.Num(values[i])
-    if t is expr.Neg:
-        arg = _binder(e.arg)
-        return arg and (lambda values: expr.Neg(arg(values)))
-    if t is expr.BinOp:
-        parts = (e.lhs, e.rhs)
-    elif t is expr.Call:
-        parts = e.args
-    else:  # a Num or the expression's variable
-        return None
-    binders = [_binder(p) for p in parts]
-    if not any(binders):
-        return None
-    fs = [b or (lambda values, p=p: p) for b, p in zip(binders, parts)]
-    if t is expr.BinOp:
-        op, (lhs, rhs) = e.op, fs
-        return lambda values: expr.BinOp(op, lhs(values), rhs(values))
-    fn = e.fn
-    return lambda values: expr.Call(fn, tuple([f(values) for f in fs]))
+    """src parsed over var and the placeholders and compiled, as a function
+    of the tuple of placeholder values that returns the bound tree and its
+    closure; for g, the one expression in u, also the closure of its
+    derivative (expr.compile_template)."""
+    return expr.compile_template(expr.parse(src, {var, *_SLOTS}), var, _SLOTS, dual=var == "u")
 
 
 def _builtin(alpha: float, lam: float, s: str, g: str, h: str, a: float,
              exact: str | None = None) -> EmdenFowlerProblem:
     """The problem with b = 0 whose expressions are the templates given,
-    bound at alpha; an alpha outside (1/2, 1] raises ValueError."""
+    bound at alpha, with its compiled forms; an alpha outside (1/2, 1]
+    raises ValueError."""
     values = (float(alpha), float(2 * alpha), float(3 * alpha))
-    return EmdenFowlerProblem(
-        alpha=values[0],
-        lam=lam,
-        s=_template(s, "x")(values),
-        g=_template(g, "u")(values),
-        h=_template(h, "x")(values),
-        a=a,
-        b=0.0,
-        exact=None if exact is None else _template(exact, "x")(values),
-    )
+    s, s_f = _template(s, "x")(values)
+    g, g_f, g_dual = _template(g, "u")(values)
+    h, h_f = _template(h, "x")(values)
+    exact, exact_f = (None, None) if exact is None else _template(exact, "x")(values)
+    problem = EmdenFowlerProblem(alpha=values[0], lam=lam, s=s, g=g, h=h, a=a, b=0.0,
+                                 exact=exact)
+    # where the cached property keeps its value, so nothing compiles again
+    vars(problem)["compiled"] = _Compiled(s_f, h_f, g_f, g_dual, exact_f)
+    return problem
 
 
 def lane_emden(n: int, alpha: float = 1.0) -> EmdenFowlerProblem:

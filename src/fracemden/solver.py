@@ -17,27 +17,33 @@ nonlinear term, r(C) = A C + s * g(Phi C) - h, where row k of Phi is
 B(x_k).  Damped Newton solves it with the exact Jacobian
 J = A + diag(s * g'(Phi C)) Phi; g' comes from forward-mode
 differentiation of the g expression.  A problem compiles s, h, g, g' and
-exact once, on first use (EmdenFowlerProblem.compiled), with their
-constant subtrees, such as the Gamma terms of a manufactured forcing,
-folded; each point still goes through the same libm calls in the same
-order, so values are bit-identical to walking the expression trees.
+exact once (EmdenFowlerProblem.compiled): a built-in as it is built, from
+templates compiled once per process (problems._template), any other on
+first use.  Their constant subtrees, such as the Gamma terms of a
+manufactured forcing, are folded; each point still goes through the same
+libm calls in the same order, so values are bit-identical to walking the
+expression trees.
 
 What does not depend on the problem is one read-only operator record per
 (alpha, N, lambda): the points, Phi, A = [Phi D_2alpha^T +
-diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)], the largest
-row sum R of |A| and the basis at the error-table points.  One builder
-makes it from N, alpha, lambda and the two Caputo matrices, on a grid
-cached per N; solve caches it per key, with both matrices from one exact
-pass (fraccalc.build_D_pair), and assemble_residual builds it, uncached,
-from the matrices it is given.  A solve then evaluates s, h and max|rhs|
-once, and u = Phi C once per Newton iterate for both r and J.  The stop
-level is max(tol, floor); the rounding floor, an |A||C| product, is
-computed only where it can decide: while the residual is above tol and
-not already above the floor's upper bound
-4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
-the rounding of both, so every decision is the floor's own.  The report
-keeps the last Jacobian Newton factorized; its kappa_2 (cond_J) and the
-warning keyed on it are computed on first access, so a solve runs no SVD.
+diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)] (at lambda = 0
+without the damping term, which would add only zeros) and the largest
+row sum R of |A|.  One builder makes it from N, alpha, lambda and the two
+Caputo matrices, on a grid cached per N; solve caches it per key, with
+both matrices from one exact pass (fraccalc.build_D_pair), and
+assemble_residual builds it, uncached, from the matrices it is given.  A
+solve then evaluates s, h and max|rhs| once, and u = Phi C once per
+Newton iterate for both r and J.  The stop level is max(tol, floor); the
+rounding floor, an |A||C| product, is computed only where it can decide:
+while the residual is above tol and not already above the floor's upper
+bound 4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
+the rounding of both, so every decision is the floor's own.
+
+A solve computes C, its Newton iterations, its residual and the last
+Jacobian Newton factorized, and keeps J and the problem in its report.
+The rest is computed on first read: kappa_2(J) (cond_J, one SVD), the
+warning keyed on it, and the error table, which evaluates exact.  So a
+solve runs no SVD and never calls exact.
 
 lambda, a, b and tol must be finite, and b must be 0 when lambda > 0 (a
 solution regular at x = 0 has D^(a) u(0) = 0 there).  An s(x) that is not
@@ -55,7 +61,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -65,8 +71,11 @@ from . import expr, fraccalc
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
 from .polybasis import DEGREE_CAP, BoubakerBasis, build_basis, coefficient_vector, eval_basis
 
-# SolveReport warns above this kappa_2(J), 2.2e-6 relative error in a Newton
-# step: on the built-ins, only at N >= 12, where answers turn to rounding noise.
+# SolveReport warns above this kappa_2(J), where a Newton step may carry a
+# relative rounding error of 2.2e-6; on the built-ins it fires only at
+# N >= 12.  kappa_2(J) does not see the rounding of the operational matrices,
+# so a quiet report is no accuracy certificate: mixed_power(0.7) at N = 14
+# reads kappa_2 = 1.2e9 and an error of 2.1.
 CONDITION_WARNING_THRESHOLD = 1e10
 # Newton stops once the residual is within this many unit roundoffs of the
 # scale |A||C| + |s g(Phi C)| + |rhs| of its own terms: evaluating r at the
@@ -186,21 +195,27 @@ def problem_from_strings(alpha, lam, s, g, h, a, b, exact=None) -> EmdenFowlerPr
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution coefficients plus diagnostics of one collocation solve; an
-    error_table row is (x, u_N, exact, |u_N - exact|), the last two None
-    where exact cannot be evaluated (_exact_rows)."""
+    """Solution coefficients plus diagnostics of one collocation solve.
+    cond_J, warnings and error_table are computed on first read; problem is
+    the problem solve solved, None in a report built by hand."""
 
     C: np.ndarray
     points: tuple[float, ...]
     newton_iters: int
     residual_inf: float
     J: np.ndarray | None  # the last Jacobian Newton factorized; None if no step
-    error_table: tuple[tuple[float, float, float | None, float | None], ...] | None
+    problem: EmdenFowlerProblem | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         self.C.setflags(write=False)
         if self.J is not None:
             self.J.setflags(write=False)
+
+    def __setstate__(self, state):
+        # pickle and copy.deepcopy skip __post_init__: a copy is read-only too
+        vars(self).update(state)
+        self.__post_init__()
 
     @cached_property
     def cond_J(self) -> float | None:
@@ -214,6 +229,17 @@ class SolveReport:
         return (f"Jacobian condition number {self.cond_J:.3e} exceeds "
                 f"{CONDITION_WARNING_THRESHOLD:.0e}; coefficients may carry "
                 f"significant rounding error",)
+
+    @cached_property
+    def error_table(self) -> tuple[tuple[float, float, float | None, float | None], ...] | None:
+        """(x, u_N(x), exact(x), |u_N(x) - exact(x)|) at x = 0.1, ..., 1.0,
+        the last two None where exact cannot be evaluated (_exact_rows);
+        None where the problem has no exact solution."""
+        if self.problem is None or self.problem.exact is None:
+            return None
+        *_, table_rows = _grid(self.C.size - 1)
+        u = np.vecdot(table_rows, self.C).tolist()
+        return tuple(_exact_rows(self.problem.compiled.exact, _TABLE_XS, u))
 
 
 def collocation_points(N: int) -> list[float]:
@@ -265,7 +291,6 @@ class _Operator(NamedTuple):
     Phi: np.ndarray  # row k is B(x_k)
     A: np.ndarray  # affine part: N-1 collocation rows, then the two IC rows
     R: float  # the largest row sum of |A|, for the floor's bound
-    table_rows: np.ndarray  # B(x) at the error-table points _TABLE_XS
 
 
 class _System(NamedTuple):
@@ -294,12 +319,13 @@ def _operator(N: int, alpha: float, lam: float,
     """The read-only operator of the degree-N grid with the matrices given:
     A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)]
     and the largest row sum of |A|."""
-    _, pts, Phi, B0, table_rows = _grid(N)
-    damping = lam / np.array(pts) ** alpha
-    A = np.vstack([Phi @ D_2alpha.T + damping[:, None] * (Phi @ D_alpha.T),
-                   B0, D_alpha @ B0])
+    _, pts, Phi, B0, _ = _grid(N)
+    collocation = Phi @ D_2alpha.T
+    if lam:  # at lam = 0 the damping term would add only zeros
+        collocation += (lam / np.array(pts) ** alpha)[:, None] * (Phi @ D_alpha.T)
+    A = np.vstack([collocation, B0, D_alpha @ B0])
     A.setflags(write=False)
-    return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()), table_rows)
+    return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -487,19 +513,9 @@ def solve(
         C, r, sg, u, rnorm = Cn, rn, sgn, un, rn_norm
         iters += 1
 
-    error_table = None
-    if problem.exact is not None:
-        u = np.vecdot(op.table_rows, C).tolist()
-        error_table = tuple(_exact_rows(problem.compiled.exact, _TABLE_XS, u))
-
-    return SolveReport(
-        C=C,
-        points=op.pts,
-        newton_iters=iters,
-        residual_inf=rnorm,
-        J=J,
-        error_table=error_table,
-    )
+    report = SolveReport(C=C, points=op.pts, newton_iters=iters, residual_inf=rnorm, J=J)
+    object.__setattr__(report, "problem", problem)
+    return report
 
 
 def residual_certificate(

@@ -22,6 +22,7 @@ from fracemden.expr import (
     _power_derivative,
     _power_dual,
     compile_expression,
+    compile_template,
     compile_with_derivative,
     evaluate,
     evaluate_with_derivative,
@@ -539,3 +540,92 @@ class TestDepthLimit:
         tree = parse(_DEEP["sum"](MAX_DEPTH), X)
         assert compile_expression(tree, "x")(0.5) == 50.0
         assert compile_with_derivative(tree, "x")(0.5) == (50.0, 100.0)
+
+
+SLOTS = ("A1", "A2")
+
+
+def _substitute(e, values):
+    """e with each placeholder Var a Num of its value."""
+    if isinstance(e, Var):
+        return Num(values[SLOTS.index(e.name)]) if e.name in SLOTS else e
+    if isinstance(e, Neg):
+        return Neg(_substitute(e.arg, values))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _substitute(e.lhs, values), _substitute(e.rhs, values))
+    if isinstance(e, Call):
+        return Call(e.fn, tuple(_substitute(a, values) for a in e.args))
+    return e
+
+
+# a placeholder in a constant subtree that raises below A1 = 1, in an
+# exponent (a negative base raises for a fractional one, and A1 < 0 keeps
+# the general power rule), and in a subtree that raises where x < A1
+TEMPLATES = [
+    "x + ln(A1 - 1)", "x^A1", "sqrt(x - A1)", "gamma(1 + A2)/gamma(1 + A1)*x^A1 - 9*x^A2",
+    "sin(x)*2 + pow(x, A2)/A1", "-A1", "x", "2^A1*x + 1/(A2 - A1)",
+]
+_TEMPLATE_VALUES = [(0.5, 1.0), (0.7, 1.4), (1.0, 2.0), (1.5, 3.0), (2.0, 2.0), (0.0, -0.0),
+                    (-0.5, -1.0), (3.0, 170.5), (math.inf, math.nan), (math.nan, 1.0)]
+_TEMPLATE_POINTS = (-1.5, -0.0, 0.0, 1e-3, 0.3, 0.7, 1.0, 2.5, math.inf, math.nan)
+
+
+class TestTemplateBind:
+    @pytest.mark.parametrize("src", TEMPLATES)
+    def test_bound_closures_equal_compiling_the_bound_tree(self, src):
+        template = parse(src, {"x", *SLOTS})
+        bind = compile_template(template, "x", SLOTS)
+        for values in _TEMPLATE_VALUES:
+            tree, f = bind(values)
+            assert tree == _substitute(template, values)
+            want = compile_expression(tree, "x")
+            for x in _TEMPLATE_POINTS:
+                # the same bits, or the same error naming the same node of tree
+                assert _outcome(f, x) == _outcome(want, x), (values, x)
+                assert _outcome(f, x) == _outcome(_walk, tree, {"x": x}), (values, x)
+
+    @pytest.mark.parametrize("src", [t.replace("x", "u") for t in TEMPLATES])
+    def test_dual_mode_binds_one_tree_for_both_closures(self, src):
+        template = parse(src, {"u", *SLOTS})
+        bind = compile_template(template, "u", SLOTS, dual=True)
+        for values in _TEMPLATE_VALUES:
+            tree, f, dual = bind(values)
+            assert tree == _substitute(template, values)
+            value, derivative = compile_expression(tree, "u"), compile_with_derivative(tree, "u")
+            for u in _TEMPLATE_POINTS:
+                assert _outcome(f, u) == _outcome(value, u), (values, u)
+                assert _outcome(dual, u) == _outcome(derivative, u), (values, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_exprs({"x", *SLOTS}), _POINTS, _POINTS, _POINTS)
+    def test_random_trees(self, template, a1, a2, x):
+        tree, f, dual = compile_template(template, "x", SLOTS, dual=True)((a1, a2))
+        assert tree == _substitute(template, (a1, a2))
+        assert _outcome(f, x) == _outcome(compile_expression(tree, "x"), x)
+        assert _outcome(dual, x) == _outcome(compile_with_derivative(tree, "x"), x)
+
+    def test_error_names_the_node_of_the_bound_tree(self):
+        tree, f = compile_template(parse("1 + sqrt(x - A1)", {"x", *SLOTS}), "x", SLOTS)((0.5, 1.0))
+        with pytest.raises(EvalError) as err:
+            f(0.25)
+        assert err.value.subexpr is tree.rhs
+        assert str(err.value) == "sqrt of negative value -0.25 in 'sqrt(x - 0.5)'"
+
+    def test_subtrees_free_of_placeholders_are_compiled_once_and_shared(self, monkeypatch):
+        template = parse("gamma(2.5)*x + x^A1", {"x", *SLOTS})
+        calls = []
+        gamma = math.gamma
+        monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
+        bind = compile_template(template, "x", SLOTS)
+        assert calls == [2.5]
+        trees = [bind((a, 2 * a))[0] for a in (0.6, 0.8, 1.0)]
+        assert calls == [2.5]
+        assert all(tree.lhs is template.lhs for tree in trees)
+        assert [tree.rhs.rhs for tree in trees] == [Num(0.6), Num(0.8), Num(1.0)]
+
+    def test_template_without_placeholders_is_bound_once(self):
+        template = parse("u^5", {"u", *SLOTS})
+        bind = compile_template(template, "u", SLOTS, dual=True)
+        first, second = bind((0.6, 1.2)), bind((0.9, 1.8))
+        assert first[0] is template and all(a is b for a, b in zip(first, second))
+        assert first[1](2.0) == 32.0 and first[2](2.0) == (32.0, 80.0)

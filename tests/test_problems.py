@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from fracemden import expr, problems
+from fracemden import expr, problems, solver
 from fracemden.problems import (
     ProblemFileError,
     exp_square,
@@ -241,6 +241,26 @@ class TestTemplates:
         for alpha in ALPHAS[:100]:
             mixed_power(alpha), shifted_power(alpha), lane_emden(5, alpha), exp_square()
         assert sources and max(Counter(sources).values()) == 1
+
+    def test_each_template_compiled_once(self, monkeypatch):
+        # a built-in comes with its compiled forms: 100 alphas compile each
+        # template once, and neither building nor solving compiles a tree
+        problems._template.cache_clear()
+        compiled, template = [], expr.compile_template
+        def counting_template(e, name, slots, dual=False):
+            compiled.append((expr.to_string(e), name))
+            return template(e, name, slots, dual)
+        def refused(e, name):
+            raise AssertionError(f"compiled {expr.to_string(e)!r} outside a template")
+        monkeypatch.setattr(expr, "compile_template", counting_template)
+        monkeypatch.setattr(expr, "compile_expression", refused)
+        monkeypatch.setattr(expr, "compile_with_derivative", refused)
+        for alpha in ALPHAS[:100]:
+            built = mixed_power(alpha), shifted_power(alpha), lane_emden(5, alpha), exp_square()
+        for problem in built:
+            solver.solve(problem, 6).error_table
+        counts = Counter(compiled)
+        assert len(counts) == 12 and max(counts.values()) == 1
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("build", [mixed_power, shifted_power, lambda a: lane_emden(1, a)],

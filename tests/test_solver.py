@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import re
@@ -538,7 +539,7 @@ class TestOperatorCache:
         _, _, Phi, B0, table_rows = solver._grid(6)
         op = solver._cached_operator(problem.alpha, 6, problem.lam)
         assert op.R == float(np.abs(op.A).sum(axis=1).max())
-        arrays = (Phi, B0, table_rows, op.Phi, op.A, op.table_rows)
+        arrays = (Phi, B0, table_rows, op.Phi, op.A)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a.copy()  # same values: a failing check corrupts nothing
@@ -607,6 +608,20 @@ class TestOperatorCache:
         warm = assemble_residual(problem, basis, D1, D2, C)
         assert np.array_equal(cold, warm)
 
+    def test_lambda_zero_skips_the_damping_term_bit_for_bit(self):
+        # at lambda = 0 the damping term, 0 / x^alpha times Phi D_alpha^T,
+        # is not formed; A is the one the full formula gives, byte for byte
+        # (a -0.0 could have turned into +0.0; none does on this grid)
+        for N in range(2, 16):
+            basis, pts, Phi, B0, _ = solver._grid(N)
+            for k in range(51, 101):
+                alpha = k / 100
+                D1, D2 = fraccalc.build_D_pair(alpha, basis)
+                damping = 0.0 / np.array(pts) ** alpha
+                full = np.vstack([Phi @ D2.T + damping[:, None] * (Phi @ D1.T), B0, D1 @ B0])
+                A = solver._operator(N, alpha, 0.0, D1, D2).A
+                assert A.tobytes() == full.tobytes(), (N, alpha)
+
     def test_assemble_residual_refuses_a_forced_basis_above_the_cap(self):
         problem = lane_emden(1)
         basis = build_basis(16, force=True)
@@ -651,6 +666,32 @@ class TestConditioning:
         assert report.warnings is report.warnings
 
 
+class TestSolveReport:
+    def test_error_table_computed_once_on_first_read(self, monkeypatch):
+        calls, rows = [], solver._exact_rows
+        monkeypatch.setattr(solver, "_exact_rows", lambda *args: calls.append(args) or rows(*args))
+        report = solve(mixed_power(0.7), 10)
+        assert calls == []
+        table = report.error_table
+        assert len(calls) == 1 and report.error_table is table and len(table) == 10
+        assert report.problem == mixed_power(0.7)
+
+    @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_copies_stay_read_only(self, duplicate, read_first):
+        report = solve(lane_emden(5), 6)
+        if read_first:  # the cached diagnostics travel with the copy
+            report.cond_J, report.error_table
+        dup = duplicate(report)
+        for a in (dup.C, dup.J):
+            with pytest.raises(ValueError):
+                a[...] = a.copy()  # same values: a failing check corrupts nothing
+        assert dup.C.tobytes() == report.C.tobytes() and dup.J.tobytes() == report.J.tobytes()
+        assert dup.cond_J == report.cond_J
+        assert repr(dup.error_table) == repr(report.error_table)
+
+
 # lane_emden(n, alpha) over the supported domain.  (5, 0.6, 12) is left
 # out: it converges in 4 steps, but alpha = 0.6 + k 2^-52 takes 15 steps
 # at one k in [-20, 20], so its step count may depend on BLAS rounding
@@ -674,11 +715,13 @@ def test_lane_emden_sweep_converges(n, alpha, N):
 
 class TestCompiledExpressions:
     def test_constant_gamma_terms_of_h_are_evaluated_once(self, monkeypatch):
-        problem = mixed_power(0.7)
-        solver._cached_operator(0.7, 10, problem.lam)  # the Caputo matrices call gamma too
+        solver._cached_operator(0.7, 10, 1.0)  # the Caputo matrices call gamma too
         calls = []
         gamma = math.gamma
         monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
+        # a built-in is compiled as it is built, the gamma terms of its
+        # forcing folded then
+        problem = mixed_power(0.7)
         report = solve(problem, 10)
         # once per gamma term, not once per term at each of the 9 points
         assert len(calls) == expr.to_string(problem.h).count("gamma(") == 7
