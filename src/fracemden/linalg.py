@@ -54,8 +54,9 @@ def lu_solve(A: np.ndarray, b) -> np.ndarray:
     """Solve A x = b (b a vector or a matrix of right-hand sides) by LAPACK.
 
     Raises np.linalg.LinAlgError (a ValueError) on a singular matrix.
-    Nothing under src/ calls it (solve calls np.linalg.solve); it stays
-    only because the benchmark's tracer wraps it by name.
+    Nothing under src/ calls it (a Newton step calls LAPACK's dgesv
+    directly, solver._newton_step); it stays only because the benchmark's
+    tracer wraps it by name.
     """
     return np.linalg.solve(A, b)
 

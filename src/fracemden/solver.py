@@ -33,10 +33,23 @@ Caputo matrices, on a grid cached per N; solve caches it per key, with
 both matrices from one exact pass (fraccalc.build_D_pair), and
 assemble_residual builds it, uncached, from the matrices it is given.  A
 solve then evaluates s, h and max|rhs| once, and u = Phi C once per
-Newton iterate for both r and J.  The stop level is max(tol, floor); the
-rounding floor, an |A||C| product, is computed only where it can decide:
-while the residual is above tol and not already above the floor's upper
-bound 4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
+Newton iterate for both r and J.
+
+At N = 6 the arithmetic of a Newton iterate takes nanoseconds and its cost
+is the fixed cost of each numpy call, so a step makes as few of them as it
+can without changing a bit.  s g(u), s g'(u), the residual's sum and its
+norms are Python floats, which add and multiply as float64 does.  J is
+formed and factorized in _newton_step, one call of the dgesv gufunc that
+np.linalg.solve wraps, under the errstate np.linalg.solve opens: that
+skips only the wrapper's argument conversion and type checks, nearly half
+the cost of a 7 x 7 solve.  numpy.linalg._umath_linalg is private to
+numpy; _newton_step is its only user here, with no fallback, so a numpy
+that renames it fails the tests.
+
+The stop level is max(tol, floor); the rounding floor, an |A||C| product,
+is computed only where it can decide: while the residual is above tol and
+not already above the floor's upper bound
+4 eps (1 + 2^-40) (R max|C| + max|s g| + max|rhs|), whose margin covers
 the rounding of both, so every decision is the floor's own.
 
 A solve computes C, its Newton iterations, its residual and the last
@@ -66,6 +79,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # only _newton_step may call it
 
 from . import expr, fraccalc
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
@@ -193,19 +207,20 @@ def problem_from_strings(alpha, lam, s, g, h, a, b, exact=None) -> EmdenFowlerPr
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution coefficients plus diagnostics of one collocation solve.
     cond_J, warnings and error_table are computed on first read; problem is
-    the problem solve solved, None in a report built by hand."""
+    the problem solve solved, None in a report built by hand.  Reports
+    compare and hash by identity: fieldwise == would compare the C and J
+    arrays, which numpy cannot reduce to one truth value."""
 
     C: np.ndarray
     points: tuple[float, ...]
     newton_iters: int
     residual_inf: float
     J: np.ndarray | None  # the last Jacobian Newton factorized; None if no step
-    problem: EmdenFowlerProblem | None = field(default=None, init=False, repr=False,
-                                               compare=False)
+    problem: EmdenFowlerProblem | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.C.setflags(write=False)
@@ -297,7 +312,7 @@ class _System(NamedTuple):
     """The collocated system r(C) = A C + [s * g(Phi C); 0; 0] - rhs."""
 
     op: _Operator
-    s: np.ndarray  # s(x_k)
+    s: list  # s(x_k)
     rhs: np.ndarray  # [h(x_k); a; b]
     rhs_max: float  # max |rhs|, for the floor's bound
 
@@ -340,37 +355,62 @@ def _assemble(problem: EmdenFowlerProblem, op: _Operator) -> _System:
         # refused before s * g(Phi C) could warn of inf * 0
         k = next(k for k, v in enumerate(s) if not math.isfinite(v))
         raise SolverError(f"s(x) = {s[k]} at collocation point x = {op.pts[k]!r} is not finite")
-    rhs = np.array(_eval_all(f.h, "x", op.pts, "h(x)") + [problem.a, problem.b])
-    return _System(op, np.array(s), rhs, float(np.abs(rhs).max()))
+    rhs = _eval_all(f.h, "x", op.pts, "h(x)") + [problem.a, problem.b]
+    return _System(op, s, np.array(rhs), _norm_inf(rhs))
 
 
 def _residual(problem: EmdenFowlerProblem, system: _System, C: np.ndarray):
-    """r(C), its nonlinear part s * g(Phi C), and u = Phi C as a list."""
+    """r(C), its infinity norm, its nonlinear part s * g(Phi C) and
+    u = Phi C, the last two as lists.  Python floats add and multiply as
+    numpy's float64 does, so r is bit for bit A C - rhs + [s g; 0; 0]."""
     u = (system.op.Phi @ C).tolist()
-    sg = system.s * np.array(_eval_all(problem.compiled.g, "u", u, "g(u)"))
-    r = system.op.A @ C - system.rhs
-    r[: sg.size] += sg
-    return r, sg, u
+    sg = [s * g for s, g in zip(system.s, _eval_all(problem.compiled.g, "u", u, "g(u)"))]
+    r = (system.op.A @ C - system.rhs).tolist()
+    r[: len(sg)] = [x + y for x, y in zip(r, sg)]
+    return np.array(r), _norm_inf(r), sg, u
 
 
-def _jacobian(problem: EmdenFowlerProblem, system: _System, u: list):
-    """Exact J = A + [diag(s * g'(u)) Phi; 0; 0] at u = Phi C."""
-    dg = [d for _, d in _eval_all(problem.compiled.g_dual, "u", u, "g'(u)")]
-    J = system.op.A.copy()
-    J[: len(dg)] += (system.s * np.array(dg))[:, None] * system.op.Phi
-    return J
+def _norm_inf(values: list) -> float:
+    """max |v| over a list of floats, bit for bit float(np.abs(v).max()):
+    NaN if any v is NaN, which max alone misses after the first item.  A
+    sum of inf and -inf is NaN too, so a NaN sum only prompts the search."""
+    top = max(map(abs, values))
+    total = sum(values)
+    if total != total and any(v != v for v in values):
+        return math.nan
+    return top
 
 
-def _floor_bound(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
+def _raise_singular(err: str, flag: int):
+    # the errstate's handler: dgesv flags a zero pivot as an invalid value
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _newton_step(A: np.ndarray, Phi: np.ndarray, sdg: list, r: np.ndarray):
+    """J = A + [diag(sdg) Phi; 0; 0] and the Newton step d with J d = -r.
+
+    It runs under the errstate np.linalg.solve opens, and d comes from the
+    gufunc np.linalg.solve wraps, so d has the same bits and a singular J
+    raises LinAlgError.  An overflow in J is ignored and left to the
+    caller's finiteness test.  Forming J flags no invalid value: sdg is a
+    list of Python floats, and Phi has no zero entry up to DEGREE_CAP.
+    """
+    J = A.copy()
+    J[: len(sdg)] += np.array(sdg)[:, None] * Phi
+    return J, _umath_linalg.solve1(J, -r, signature="dd->d")
+
+
+def _floor_bound(system: _System, sg: list, C: np.ndarray) -> float:
     """An upper bound of _floor at C (see _FLOOR_BOUND_MARGIN), or inf
     where it decides nothing.  r(C) is finite where it is called, so s g
     is too and C holds no NaN."""
-    scale = system.op.R * max(map(abs, C.tolist())) + (max(map(abs, sg.tolist())) + system.rhs_max)
+    scale = system.op.R * max(map(abs, C.tolist())) + (max(map(abs, sg)) + system.rhs_max)
     bound = ROUNDING_FLOOR_FACTOR * _EPS * (_FLOOR_BOUND_MARGIN * scale)
     return bound if bound >= _FLOOR_BOUND_MIN else math.inf
 
 
-def _floor(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
+def _floor(system: _System, sg: list, C: np.ndarray) -> float:
     """The rounding floor of evaluating r at C,
     ROUNDING_FLOOR_FACTOR * eps * max(|A||C| + |s g(Phi C)| + |rhs|).
 
@@ -381,7 +421,7 @@ def _floor(system: _System, sg: np.ndarray, C: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         AC = np.abs(op.A) @ np.abs(C)
         scale = AC + abs_rhs
-        scale[: sg.size] += np.abs(sg)
+        scale[: len(sg)] += np.abs(sg)
     top = float(scale.max())
     if not math.isfinite(top):
         k = int(np.flatnonzero(~np.isfinite(scale))[0])
@@ -466,8 +506,7 @@ def solve(
 
     C = np.zeros(N + 1)
     C[0] = problem.a
-    r, sg, u = _residual(problem, system, C)
-    rnorm = float(np.abs(r).max())
+    r, rnorm, sg, u = _residual(problem, system, C)
     if not math.isfinite(rnorm):
         # the initial-condition rows come to a - a and -b: k is a collocation row
         k = int(np.flatnonzero(~np.isfinite(r))[0])
@@ -483,9 +522,10 @@ def solve(
                            or rnorm > _floor(system, sg, C)):
         if iters >= max_iters:
             raise NonConvergenceError(rnorm, iters)
-        J = _jacobian(problem, system, u)
+        dg = _eval_all(problem.compiled.g_dual, "u", u, "g'(u)")
+        sdg = [s * slope for s, (_, slope) in zip(system.s, dg)]
         try:
-            d = np.linalg.solve(J, -r)
+            J, d = _newton_step(op.A, op.Phi, sdg, r)
         except np.linalg.LinAlgError as err:
             raise SingularJacobianError(iters) from err
         if not all(map(math.isfinite, d.tolist())):
@@ -495,16 +535,14 @@ def solve(
             bad_rows = np.flatnonzero(~np.isfinite(J).all(axis=1))
             if bad_rows.size:  # only a collocation row s g'(u) Phi can overflow
                 k = int(bad_rows[0])
-                sdg = float(system.s[k] * problem.compiled.g_dual(u[k])[1])
                 cause = (f"the Jacobian row at collocation point x = {op.pts[k]!r} "
-                         f"overflows, with s(x) g'(u) = {sdg!r} at u = {u[k]!r}")
+                         f"overflows, with s(x) g'(u) = {sdg[k]!r} at u = {u[k]!r}")
             raise SolverError(f"Newton step not finite at iteration {iters}: {cause}")
         # damp by halving until the residual norm actually decreases
         t = 1.0
         for _ in range(30):
             Cn = C + t * d if t < 1.0 else C + d
-            rn, sgn, un = _residual(problem, system, Cn)
-            rn_norm = float(np.abs(rn).max())
+            rn, rn_norm, sgn, un = _residual(problem, system, Cn)
             if rn_norm < rnorm:
                 break
             t *= 0.5

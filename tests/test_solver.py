@@ -328,14 +328,28 @@ class TestNonFiniteInput:
 
     def test_non_finite_jacobian_names_its_row(self):
         # s g'(u) = 1e308 is finite, but s g'(u) B(x) overflows in J: the
-        # step is refused naming J's row, not d.  numpy's overflow warning
-        # from that product stays, as silencing it costs every Jacobian
+        # step is refused naming J's row, not d.  J is formed under the
+        # step's errstate, so numpy warns of nothing
         x0 = collocation_points(4)[0]
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(SolverError, match=re.escape(
                     f"Newton step not finite at iteration 0: the Jacobian row at collocation "
                     f"point x = {x0!r} overflows, with s(x) g'(u) = 1e+308 at u = 1.0")):
                 solve(_with(lane_emden(1), s=expr.parse("1e308", {"x"})), 4)
+
+    def test_overflowing_s_times_g_prime_names_its_row(self):
+        # s g'(u) = 1e305 * 10 * 2^9 is itself inf, while s g(u) = 1.024e308
+        # is finite: the row is named with the product, and nothing warns
+        x0 = collocation_points(4)[0]
+        problem = _with(lane_emden(1), s=expr.parse("1e305", {"x"}),
+                        g=expr.parse("u^10", {"u"}), a=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=re.escape(
+                    f"Newton step not finite at iteration 0: the Jacobian row at collocation "
+                    f"point x = {x0!r} overflows, with s(x) g'(u) = inf at u = 2.0")):
+                solve(problem, 4)
 
 
 class TestExactNewton:
@@ -427,6 +441,42 @@ class TestExactNewton:
         )
         with pytest.raises(expr.EvalError, match="derivative.*g'\\(u\\) at u=0.0"):
             solve(problem, 4)
+
+    def test_newton_step_matches_np_linalg_solve_bit_for_bit(self, monkeypatch):
+        # every step of lane_emden(1) and (5) at alpha = 0.51..1.00 and
+        # N = 2..15, the last J of each solve included: d is
+        # np.linalg.solve's, bit for bit, and the caller's errstate is back
+        steps, step = [], solver._newton_step
+        monkeypatch.setattr(solver, "_newton_step",
+                            lambda *args: steps.append((args, step(*args))) or steps[-1][1])
+        errstate = np.geterr()
+        finals = [solve(lane_emden(n, k / 100), N).J
+                  for n in (1, 5) for k in range(51, 101) for N in range(2, 16)]
+        assert np.geterr() == errstate
+        assert len(steps) >= len(finals) == 1400
+        factorized = {J.tobytes() for _, (J, _) in steps}
+        assert all(J.tobytes() in factorized for J in finals)
+        for (*_, r), (J, d) in steps:
+            assert d.tobytes() == np.linalg.solve(J, -r).tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [float("nan"), 1.0, -2.0], [1.0, float("nan"), -2.0], [1.0, -2.0, float("nan")],
+        [1.0, float("inf"), -2.0], [1.0, -float("inf"), -2.0],
+        [float("inf"), 1.0, -float("inf")], [-0.0, 0.0], [-0.0], [3.0, -3.0, 2.5],
+        [1e308, 1e308, -1e308], [5e-324, -1e-320],
+    ], ids=["nan_first", "nan_middle", "nan_last", "inf", "minus_inf", "both_infs",
+            "signed_zeros", "minus_zero", "tie", "sum_overflows", "subnormal"])
+    def test_norm_inf_equals_numpy_bit_for_bit(self, values):
+        got, want = solver._norm_inf(values), float(np.abs(np.array(values)).max())
+        assert math.isnan(got) == math.isnan(want)
+        if not math.isnan(want):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_phi_has_no_zero_entry_up_to_the_cap(self):
+        # _newton_step relies on it: inf * 0 would flag an invalid value
+        # while J is formed, and read as a singular pivot
+        for N in range(2, solver.DEGREE_CAP + 1):
+            assert np.all(solver._grid(N)[2] != 0.0)
 
     def test_singular_jacobian_raises(self):
         # N = 2: J's collocation row 2*e_2 - 8*B(1/2) = [-8, -4, -16] is an
@@ -648,8 +698,10 @@ class TestConditioning:
                 report.J[0, 0] = report.J[0, 0]
         # a linear g: J is the same at every iterate, the returned C included
         problem = mixed_power(0.7)
-        system = solver._assemble(problem, solver._cached_operator(problem.alpha, 10, problem.lam))
-        J = solver._jacobian(problem, system, (system.op.Phi @ linear.C).tolist())
+        op = solver._cached_operator(problem.alpha, 10, problem.lam)
+        sdg = [problem.compiled.s(x) * problem.compiled.g_dual(u)[1]
+               for x, u in zip(op.pts, (op.Phi @ linear.C).tolist())]
+        J, _ = solver._newton_step(op.A, op.Phi, sdg, np.zeros(11))
         assert J.tobytes() == linear.J.tobytes()
         for report in (nonlinear, solve(lane_emden(5), 8)):  # kappa read, and not yet
             copy = pickle.loads(pickle.dumps(report))
@@ -675,6 +727,12 @@ class TestSolveReport:
         table = report.error_table
         assert len(calls) == 1 and report.error_table is table and len(table) == 10
         assert report.problem == mixed_power(0.7)
+
+    def test_reports_compare_and_hash_by_identity(self):
+        a, b = solve(lane_emden(5), 6), solve(lane_emden(5), 6)
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+        assert a.C.tobytes() == b.C.tobytes()
 
     @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])

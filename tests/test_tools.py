@@ -22,6 +22,7 @@ def test_solve_digest_prints_one_line_per_solve():
         "lane_emden(5, 0.7) N=12:", hashlib.sha256(report.C.tobytes()).hexdigest(),
         str(report.newton_iters), repr(report.residual_inf),
         hashlib.sha256(repr(report.error_table).encode()).hexdigest(),
+        hashlib.sha256(report.J.tobytes()).hexdigest(),
         hashlib.sha256(repr(problems.lane_emden(5, 0.7)).encode()).hexdigest(),
     ])
     assert want in lines

@@ -7,8 +7,9 @@ definitions from the perfbench/ next to this script, then solves 2,088
 problems: the 288 nonlinear-family problems at N = 6, every 10th point of
 the alpha-sweep pool of both linear built-ins at N = 10, and lane_emden
 n = 1, 5 at alpha = 0.51..1.00 and N = 2..15.  Each line holds the sha256
-of C, the Newton iterations, residual_inf and the sha256 of
-repr(error_table), or the error a solve raised; a built-in's line adds the
+of C, the Newton iterations, residual_inf, the sha256 of
+repr(error_table) and the sha256 of the last Jacobian J (or "none" where
+no step was taken), or the error a solve raised; a built-in's line adds the
 sha256 of repr(problem), so construction is compared as well as solving.
 Two source roots that solve alike print identical files.
 """
@@ -26,17 +27,22 @@ from workloads import AlphaSweep, NonlinearFamily  # noqa: E402  (read only)
 from fracemden import expr, problems, solver  # noqa: E402
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def line(label, problem, N):
     try:
         r = solver.solve(problem, N)
     except (solver.SolverError, expr.EvalError) as err:
         return f"{label}: {type(err).__name__}: {err}"
-    table = hashlib.sha256(repr(r.error_table).encode()).hexdigest()
-    return f"{label}: {hashlib.sha256(r.C.tobytes()).hexdigest()} {r.newton_iters} {r.residual_inf!r} {table}"
+    J = "none" if r.J is None else sha256(r.J.tobytes())
+    return (f"{label}: {sha256(r.C.tobytes())} {r.newton_iters} {r.residual_inf!r} "
+            f"{sha256(repr(r.error_table).encode())} {J}")
 
 
 def built_in(label, problem, N):
-    return f"{line(label, problem, N)} {hashlib.sha256(repr(problem).encode()).hexdigest()}"
+    return f"{line(label, problem, N)} {sha256(repr(problem).encode())}"
 
 
 def main():
