@@ -26,8 +26,7 @@ import sys
 
 import numpy as np
 
-from .polybasis import (Polynomial, build_basis, build_M_int, eval_basis, eval_series,
-                        monomial_to_boubaker_int)
+from .polybasis import Polynomial, build_basis, build_M_int, eval_basis, monomial_to_boubaker_int
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -129,12 +128,7 @@ def cmd_solve(args, out) -> int:
         print(f"error: expression evaluation failed: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    grid = np.linspace(0.0, 1.0, 101).tolist()
-    u = eval_series(report.C, grid, build_basis(spec.N)).tolist()
-    exact = spec.problem.compiled.exact
-    sol_rows = (solver._exact_rows(exact, grid, u) if exact is not None
-                else [(x, ux, None, None) for x, ux in zip(grid, u)])
-
+    sol_rows = report.rows(np.linspace(0.0, 1.0, 101).tolist())
     lines = [
         f"degree bound N = {spec.N}",
         "collocation points = " + " ".join(_f17(x) for x in report.points),
@@ -198,21 +192,15 @@ def _error_status(computed: float, reference: float) -> str:
     return "agree"
 
 
-def _solve_errors(problem, N, grid):
-    """|u_N - exact| of solve(problem, N) at each grid point."""
-    from . import solver
-
-    u = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
-    return [row[3] for row in solver._exact_rows(problem.compiled.exact, grid, u)]
-
-
 def _reproduce_error_table(name, cases, grid, reference, out_dir, out):
     """cases: list of (row_label, problem, N); reference: label -> tuple, or
     None where no digits were published, which writes the raw table only."""
+    from . import solver
+
     raw_rows = []
     comp_rows = []
     for label, problem, N in cases:
-        errs = _solve_errors(problem, N, grid)
+        errs = [row[3] for row in solver.solve(problem, N).rows(grid)]
         raw_rows.extend([str(label), _f17(x), _f17(e)] for x, e in zip(grid, errs))
         if reference is not None:
             for x, e, r in zip(grid, errs, reference[label]):
@@ -300,10 +288,7 @@ def _reproduce_fig3(out_dir, out):
 
     problem = problems.exp_square()
     grid = np.linspace(0.0, 1.0, 101).tolist()
-    table = {}  # N -> (x, u_N, exact, |u_N - exact|) rows
-    for N in (4, 6):
-        u = eval_series(solver.solve(problem, N).C, grid, build_basis(N)).tolist()
-        table[N] = solver._exact_rows(problem.compiled.exact, grid, u)
+    table = {N: solver.solve(problem, N).rows(grid) for N in (4, 6)}
     rows = [list(map(_f17, (x, u4, u6, ex, e4, e6)))
             for (x, u4, ex, e4), (_, u6, _, e6) in zip(table[4], table[6])]
     max_err = {N: max(row[3] for row in t) for N, t in table.items()}

@@ -40,11 +40,16 @@ and double operations, in the same order, as a walk of the tree, so
 values and errors are identical; evaluate and evaluate_with_derivative
 compile and call once.
 
-compile_template compiles a tree over placeholder variables once, and
-binds values to them later: each bind builds the nodes above a
-placeholder, each once, and sends each through the same _node, so the
-tree and its closures are those of substituting the values and compiling,
-with every subtree free of the placeholders compiled only once.
+compile_template compiles a tree over placeholder variables once, for its
+value only, and binds values to them later: each bind builds the nodes
+above a placeholder, each once, and sends each through the same _node, so
+the tree and its closure are those of substituting the values and
+compiling, with every subtree free of the placeholders compiled only once.
+A derivative is compiled from a whole tree, by compile_with_derivative.
+
+to_string writes a negative Num (-0.0 too) as the parser spells it, a Neg
+of a literal, and an infinite one as 1e999, which parses to inf; nan has no
+source form.
 """
 
 from __future__ import annotations
@@ -527,38 +532,25 @@ def compile_with_derivative(e: Expression, name: str):
     return _closure(_compile(e, name, {}, True))
 
 
-def _forms(node: Expression, rule: _Rule, parts, modes: tuple[bool, ...]) -> tuple:
-    """(node, its compiled form in each mode), from the same of its operands."""
-    return (node, *[_node(node, rule, dual, *[p[m] for p in parts])
-                    for m, dual in enumerate(modes, 1)])
-
-
-def _template(e: Expression, name: str, slots: tuple[str, ...], modes: tuple[bool, ...],
-              used: set[int]):
-    """(e, its compiled form in each mode) where e holds no placeholder,
-    else a function of the placeholder leaves, each such a tuple, that
-    builds the bound node and returns the same tuple of it.  The indices of
-    the placeholders met go into used."""
+def _template(e: Expression, name: str, slots: tuple[str, ...], used: set[int]):
+    """(e, its compiled form) where e holds no placeholder, else a function
+    of the placeholder leaves, each such a pair, that builds the bound node
+    and returns the same pair of it.  The indices of the placeholders met go
+    into used."""
     t = type(e)
     if t is Var and e.name in slots:
         i = slots.index(e.name)
         used.add(i)
         return lambda leaves: leaves[i]
     if t is Num or t is Var:
-        return (e, *[_compile(e, name, {}, dual) for dual in modes])
+        return e, _compile(e, name, {}, False)
     rule, operands = _rule(e)
-    parts = [_template(p, name, slots, modes, used) for p in operands]
+    parts = [_template(p, name, slots, used) for p in operands]
     if not any(map(callable, parts)):
-        return _forms(e, rule, parts, modes)
+        return e, _node(e, rule, False, *[f for _, f in parts])
     make = (partial(BinOp, e.op) if t is BinOp else Neg if t is Neg
             else lambda *args, fn=e.fn: Call(fn, args))
-    if modes != (False,):
-        def bind(leaves):
-            bound = [p(leaves) if callable(p) else p for p in parts]
-            return _forms(make(*[b[0] for b in bound]), rule, bound, modes)
-    # value only, as every bound node of a built-in is: spelled out, a node
-    # binds in about half the time of the general case above
-    elif len(parts) == 2:
+    if len(parts) == 2:
         (lhs, lhs_bound), (rhs, rhs_bound) = [(p, callable(p)) for p in parts]
 
         def bind(leaves):
@@ -577,29 +569,24 @@ def _template(e: Expression, name: str, slots: tuple[str, ...], modes: tuple[boo
     return bind
 
 
-def compile_template(e: Expression, name: str, slots: tuple[str, ...], dual: bool = False):
+def compile_template(e: Expression, name: str, slots: tuple[str, ...]):
     """e, over the variable `name` and the placeholder variables named in
     slots, as a function bind(values) of one float per placeholder that
-    returns (tree, f), or with dual (tree, f, f_dual): tree is e with each
-    placeholder a Num of its value, f is compile_expression(tree, name) and
-    f_dual compile_with_derivative(tree, name).  The subtrees free of the
+    returns (tree, f): tree is e with each placeholder a Num of its value
+    and f is compile_expression(tree, name).  The subtrees free of the
     placeholders are compiled here, once, and shared by every tree; a bind
     builds and compiles only the nodes above a placeholder, each node once
-    and through _node, as compiling the tree would, so f and f_dual give
-    the same bits and errors, and an error names a node of tree."""
-    modes, used = (False, True) if dual else (False,), set()
-    root = _template(e, name, tuple(slots), modes, used)
+    and through _node, as compiling the tree would, so f gives the same
+    bits and errors, and an error names a node of tree."""
+    used = set()
+    root = _template(e, name, tuple(slots), used)
     if not callable(root):
-        fixed = (root[0], *map(_closure, root[1:]))
+        fixed = (root[0], _closure(root[1]))
         return lambda values: fixed
 
-    def leaf(v):
-        n = Num(v)
-        return (n, v, (v, 0.0)) if dual else (n, v)
-
     def bind(values):
-        tree, *fs = root({i: leaf(values[i]) for i in used})
-        return (tree, *map(_closure, fs))
+        tree, f = root({i: (Num(values[i]), values[i]) for i in used})
+        return tree, _closure(f)
 
     return bind
 
@@ -626,7 +613,9 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def _fmt(e: Expression, parent_prec: int) -> str:
     if isinstance(e, Num):
-        text = repr(e.value)
+        if math.copysign(1.0, e.value) < 0:  # as the parser spells it
+            return _fmt(Neg(Num(-e.value)), parent_prec)
+        text = "1e999" if e.value == math.inf else repr(e.value)
         return text[:-2] if text.endswith(".0") else text
     if isinstance(e, Var):
         return e.name
@@ -650,5 +639,7 @@ def _fmt(e: Expression, parent_prec: int) -> str:
 
 
 def to_string(e: Expression) -> str:
-    """Render a tree to source that re-parses to the identical tree."""
+    """Render a tree to source: a parsed tree re-parses to the identical
+    tree, and another tree of the parser's operators and functions, with
+    no nan, to one that evaluates as it does."""
     return _fmt(e, 0)

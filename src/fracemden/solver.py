@@ -56,7 +56,9 @@ A solve computes C, its Newton iterations, its residual and the last
 Jacobian Newton factorized, and keeps J and the problem in its report.
 The rest is computed on first read: kappa_2(J) (cond_J, one SVD), the
 warning keyed on it, and the error table, which evaluates exact.  So a
-solve runs no SVD and never calls exact.
+solve runs no SVD and never calls exact.  Every table of u_N (the error
+table, the CLI's solution.csv and reproduce tables) comes from one
+evaluator, SolveReport.rows.
 
 lambda, a, b and tol must be finite, and b must be 0 when lambda > 0 (a
 solution regular at x = 0 has D^(a) u(0) = 0 there).  An s(x) that is not
@@ -66,7 +68,7 @@ a NaN.  So do a stop level that overflows (a = 1e308, say), naming the
 row whose scale overflowed, since it would accept any residual, and a
 Newton step that is not finite (h = 1.7e308, say), naming the Jacobian
 row that overflowed if one did (s = 1e308, say).  exact is report-only:
-where it raises EvalError it never fails a solve (_exact_rows).
+where it raises EvalError it never fails a solve (SolveReport.rows).
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ from numpy.linalg import _umath_linalg  # only _newton_step may call it
 
 from . import expr, fraccalc
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
-from .polybasis import DEGREE_CAP, BoubakerBasis, build_basis, coefficient_vector, eval_basis
+from .polybasis import (DEGREE_CAP, BoubakerBasis, build_basis, coefficient_vector, eval_basis,
+                        eval_series)
 
 # SolveReport warns above this kappa_2(J), where a Newton step may carry a
 # relative rounding error of 2.2e-6; on the built-ins it fires only at
@@ -247,14 +250,29 @@ class SolveReport:
 
     @cached_property
     def error_table(self) -> tuple[tuple[float, float, float | None, float | None], ...] | None:
-        """(x, u_N(x), exact(x), |u_N(x) - exact(x)|) at x = 0.1, ..., 1.0,
-        the last two None where exact cannot be evaluated (_exact_rows);
-        None where the problem has no exact solution."""
+        """rows(x = 0.1, ..., 1.0); None where the problem has no exact
+        solution."""
         if self.problem is None or self.problem.exact is None:
             return None
-        *_, table_rows = _grid(self.C.size - 1)
-        u = np.vecdot(table_rows, self.C).tolist()
-        return tuple(_exact_rows(self.problem.compiled.exact, _TABLE_XS, u))
+        return tuple(self.rows(_TABLE_XS))
+
+    def rows(self, xs) -> list[tuple[float, float, float | None, float | None]]:
+        """(x, u_N(x), exact(x), |u_N(x) - exact(x)|) at each point x of the
+        sequence xs, u_N by one eval_series call.  exact is report-only: the
+        last two fields are None where the problem has no exact solution,
+        or where exact raises EvalError (a removable singularity such as
+        sin(x)/x at 0)."""
+        u = eval_series(self.C, xs, build_basis(self.C.size - 1)).tolist()
+        exact = None if self.problem is None else self.problem.compiled.exact
+
+        def row(x, ux):
+            try:
+                ex = exact(x)
+            except expr.EvalError:
+                return x, ux, None, None
+            return x, ux, ex, abs(ux - ex)
+
+        return [(x, ux, None, None) if exact is None else row(x, ux) for x, ux in zip(xs, u)]
 
 
 def collocation_points(N: int) -> list[float]:
@@ -284,21 +302,6 @@ def _eval_all(f, name: str, values, where: str) -> list:
         raise
 
 
-def _exact_rows(exact, xs, u) -> list[tuple[float, float, float | None, float | None]]:
-    """(x, u_N, exact(x), |u_N - exact(x)|) at each point x with u_N(x) in
-    u.  exact is report-only: where it raises EvalError (a removable
-    singularity such as sin(x)/x at 0) the last two fields are None."""
-    rows = []
-    for x, ux in zip(xs, u):
-        try:
-            ex = exact(x)
-        except expr.EvalError:
-            rows.append((x, ux, None, None))
-        else:
-            rows.append((x, ux, ex, abs(ux - ex)))
-    return rows
-
-
 class _Operator(NamedTuple):
     """What a solve reads of one (alpha, N, lambda) key."""
 
@@ -319,11 +322,10 @@ class _System(NamedTuple):
 
 @lru_cache(maxsize=DEGREE_CAP + 1)
 def _grid(N: int):
-    """The basis of degree N with its points and its read-only Phi, B(0)
-    and error-table rows."""
+    """The basis of degree N with its points and its read-only Phi and B(0)."""
     basis = build_basis(N)
     pts = tuple(collocation_points(N))
-    arrays = (eval_basis(pts, basis), eval_basis(0.0, basis), eval_basis(_TABLE_XS, basis))
+    arrays = (eval_basis(pts, basis), eval_basis(0.0, basis))
     for a in arrays:
         a.setflags(write=False)
     return basis, pts, *arrays
@@ -334,7 +336,7 @@ def _operator(N: int, alpha: float, lam: float,
     """The read-only operator of the degree-N grid with the matrices given:
     A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)]
     and the largest row sum of |A|."""
-    _, pts, Phi, B0, _ = _grid(N)
+    _, pts, Phi, B0 = _grid(N)
     collocation = Phi @ D_2alpha.T
     if lam:  # at lam = 0 the damping term would add only zeros
         collocation += (lam / np.array(pts) ** alpha)[:, None] * (Phi @ D_alpha.T)

@@ -244,23 +244,27 @@ class TestTemplates:
 
     def test_each_template_compiled_once(self, monkeypatch):
         # a built-in comes with its compiled forms: 100 alphas compile each
-        # template once, and neither building nor solving compiles a tree
+        # template in x once, and each g once with its derivative; solving
+        # compiles nothing
         problems._template.cache_clear()
-        compiled, template = [], expr.compile_template
-        def counting_template(e, name, slots, dual=False):
-            compiled.append((expr.to_string(e), name))
-            return template(e, name, slots, dual)
-        def refused(e, name):
-            raise AssertionError(f"compiled {expr.to_string(e)!r} outside a template")
-        monkeypatch.setattr(expr, "compile_template", counting_template)
-        monkeypatch.setattr(expr, "compile_expression", refused)
-        monkeypatch.setattr(expr, "compile_with_derivative", refused)
+        problems._nonlinearity.cache_clear()
+        compiled = []
+        def counting(route, compile_):
+            def counted(e, name, *slots):
+                compiled.append((route, expr.to_string(e), name))
+                return compile_(e, name, *slots)
+            return counted
+        for route in ("compile_template", "compile_expression", "compile_with_derivative"):
+            monkeypatch.setattr(expr, route, counting(route, getattr(expr, route)))
         for alpha in ALPHAS[:100]:
             built = mixed_power(alpha), shifted_power(alpha), lane_emden(5, alpha), exp_square()
+        counts = Counter(compiled)
         for problem in built:
             solver.solve(problem, 6).error_table
-        counts = Counter(compiled)
-        assert len(counts) == 12 and max(counts.values()) == 1
+        assert Counter(compiled) == counts and max(counts.values()) == 1
+        assert {(route, name) for route, _, name in counts} == {
+            ("compile_template", "x"), ("compile_expression", "u"), ("compile_with_derivative", "u")}
+        assert len(counts) == 10 + 2 * 2  # s, h and exact templates; g = u and u^5
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("build", [mixed_power, shifted_power, lambda a: lane_emden(1, a)],

@@ -194,6 +194,19 @@ class TestSolve:
             assert ex == math.sin(x - 0.5) / (x - 0.5)
             assert err == abs(u - ex) and math.isfinite(err)
 
+    def test_rows_without_exact_are_bare(self):
+        # a problem without exact, and reports built by hand, at any degree
+        # the basis allows (below the solver's N >= 2 too)
+        hand_built = [solver.SolveReport(C=np.array(C), points=(), newton_iters=0,
+                                         residual_inf=0.0, J=None)
+                      for C in ([2.0], [1.0, 0.5], [1.0, 0.0, 1.0])]
+        xs = np.linspace(0.0, 1.0, 11).tolist()
+        for report in [solve(_with(lane_emden(1), exact=None), 6), *hand_built]:
+            basis = build_basis(report.C.size - 1)
+            assert report.error_table is None
+            assert report.rows(xs) == [(x, eval_series(report.C, x, basis), None, None)
+                                       for x in xs]
+
     def test_exact_undefined_everywhere_gives_bare_rows(self):
         problem = solver.problem_from_strings(1.0, 0.0, "1", "u", "0", 1.0, 1.0,
                                               exact="ln(x - 2)")
@@ -586,10 +599,10 @@ class TestOperatorCache:
     def test_cached_arrays_refuse_writes(self):
         problem = _cubic()
         solve(problem, 6)
-        _, _, Phi, B0, table_rows = solver._grid(6)
+        _, _, Phi, B0 = solver._grid(6)
         op = solver._cached_operator(problem.alpha, 6, problem.lam)
         assert op.R == float(np.abs(op.A).sum(axis=1).max())
-        arrays = (Phi, B0, table_rows, op.Phi, op.A)
+        arrays = (Phi, B0, op.Phi, op.A)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = a.copy()  # same values: a failing check corrupts nothing
@@ -663,7 +676,7 @@ class TestOperatorCache:
         # is not formed; A is the one the full formula gives, byte for byte
         # (a -0.0 could have turned into +0.0; none does on this grid)
         for N in range(2, 16):
-            basis, pts, Phi, B0, _ = solver._grid(N)
+            basis, pts, Phi, B0 = solver._grid(N)
             for k in range(51, 101):
                 alpha = k / 100
                 D1, D2 = fraccalc.build_D_pair(alpha, basis)
@@ -720,8 +733,9 @@ class TestConditioning:
 
 class TestSolveReport:
     def test_error_table_computed_once_on_first_read(self, monkeypatch):
-        calls, rows = [], solver._exact_rows
-        monkeypatch.setattr(solver, "_exact_rows", lambda *args: calls.append(args) or rows(*args))
+        calls, rows = [], solver.SolveReport.rows
+        monkeypatch.setattr(solver.SolveReport, "rows",
+                            lambda report, xs: calls.append(xs) or rows(report, xs))
         report = solve(mixed_power(0.7), 10)
         assert calls == []
         table = report.error_table
@@ -751,8 +765,10 @@ class TestSolveReport:
 
 
 # lane_emden(n, alpha) over the supported domain.  (5, 0.6, 12) is left
-# out: it converges in 4 steps, but alpha = 0.6 + k 2^-52 takes 15 steps
-# at one k in [-20, 20], so its step count may depend on BLAS rounding
+# out here: it converges in 4 steps, but alpha = 0.6 + k 2^-52 takes 15
+# steps at one k in [-20, 20], so its step count may depend on BLAS
+# rounding; test_lane_emden_knife_edge_converges checks only that it and
+# its neighbours converge
 LANE_EMDEN_SWEEP = [
     (n, alpha, N)
     for n in (1, 5)
@@ -769,6 +785,14 @@ def test_lane_emden_sweep_converges(n, alpha, N):
         assert iters == 1  # linear: one exact Newton step
     else:
         assert iters <= 5
+
+
+@pytest.mark.parametrize("k", range(-20, 21))
+def test_lane_emden_knife_edge_converges(k):
+    # solve raises unless Newton converges.  No step-count bound: at k = 11
+    # it takes 15 steps and stops on the rounding floor near 4e-7, and 3 or
+    # 4 steps elsewhere
+    solve(lane_emden(5, 0.6 + k * 2.0**-52), 12)
 
 
 class TestCompiledExpressions:
