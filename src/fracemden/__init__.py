@@ -18,7 +18,7 @@ from importlib import import_module as _import
 __version__ = "1.0.0"
 
 _PUBLIC = {
-    "approx": "EvaluationError l2_error max_abs_error_on_grid project",
+    "approx": "EvaluationError l2_error project",
     "fraccalc": "GeneralizedPolynomial OperationalMatrix build_D build_D_pair build_E "
                 "build_Z caputo_monomial caputo_polynomial",
     "linalg": "SingularMatrixError condition_estimate gram hilbert lu_solve",

@@ -175,10 +175,3 @@ def l2_error(f, C, basis: BoubakerBasis, singular_at_zero: bool = False) -> floa
         rv = _sample(f, xs) - eval_series(C, xs, basis)
         total += float(ws @ (rv * rv))
     return math.sqrt(max(total, 0.0))
-
-
-def max_abs_error_on_grid(f, C, basis: BoubakerBasis, grid) -> list[tuple[float, float]]:
-    """Pointwise |f(x) - C^T B(x)| over the given grid."""
-    grid = list(grid)
-    u = eval_series(C, grid, basis).tolist()
-    return [(float(x), abs(float(f(x)) - ux)) for x, ux in zip(grid, u)]

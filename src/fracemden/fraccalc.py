@@ -51,7 +51,10 @@ class GeneralizedPolynomial:
 
     Closed under the Caputo rules used here, unlike plain polynomials.
     Terms are canonicalized: zero coefficients dropped, equal exponents
-    merged, sorted by exponent.
+    merged, sorted by exponent.  Calling it at x >= 0, a float or an array
+    of points, adds c * x ** e in term order (0.0 ** e is 1 at e = 0 and 0
+    above it): a float by Python's pow, an array by numpy's power, which
+    may differ in the last bit.
     """
 
     terms: tuple[tuple[float, float], ...]  # (coefficient, exponent)
@@ -70,15 +73,13 @@ class GeneralizedPolynomial:
         )
         return GeneralizedPolynomial(canon)
 
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise ValueError(f"defined for x >= 0, got {x}")
-        total = 0.0
+    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
+        bad = np.extract(np.less(x, 0.0), x)
+        if bad.size:
+            raise ValueError(f"defined for x >= 0, got {bad[0]}")
+        total = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
         for c, e in self.terms:
-            if x == 0.0:
-                total += c if e == 0.0 else 0.0
-            else:
-                total += c * x ** e
+            total = total + c * x ** e
         return total
 
     @property

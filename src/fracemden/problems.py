@@ -16,7 +16,7 @@ double-quoted; numeric values are bare.  Keys:
     tol       real                      optional
     max_iters integer                   optional
 
-Unknown keys are rejected.
+Unknown keys are rejected, and b must be 0 when lambda > 0 or alpha < 1.
 """
 
 from __future__ import annotations

@@ -61,14 +61,16 @@ table, the CLI's solution.csv and reproduce tables) comes from one
 evaluator, SolveReport.rows.
 
 lambda, a, b and tol must be finite, and b must be 0 when lambda > 0 (a
-solution regular at x = 0 has D^(a) u(0) = 0 there).  An s(x) that is not
-finite at a collocation point, and a start point whose residual is not
-finite, raise SolverError naming the point: Newton's stop test cannot see
-a NaN.  So do a stop level that overflows (a = 1e308, say), naming the
-row whose scale overflowed, since it would accept any residual, and a
-Newton step that is not finite (h = 1.7e308, say), naming the Jacobian
-row that overflowed if one did (s = 1e308, say).  exact is report-only:
-where it raises EvalError it never fails a solve (SolveReport.rows).
+solution regular at x = 0 has D^(a) u(0) = 0 there) or alpha < 1 (then
+D^(a) u(0) = 0 for any u with bounded u'); b = u'(0) is free only at
+alpha = 1 and lambda = 0.  An s(x) that is not finite at a collocation
+point, and a start point whose residual is not finite, raise SolverError
+naming the point: Newton's stop test cannot see a NaN.  So do a stop
+level that overflows (a = 1e308, say), naming the row whose scale
+overflowed, since it would accept any residual, and a Newton step that is
+not finite (h = 1.7e308, say), naming the Jacobian row that overflowed if
+one did (s = 1e308, say).  exact is report-only: where it raises
+EvalError it never fails a solve (SolveReport.rows).
 """
 
 from __future__ import annotations
@@ -176,6 +178,11 @@ class EmdenFowlerProblem:
             raise ValueError(
                 f"b must be 0 when lambda > 0, got lambda = {self.lam} and b = {self.b}: "
                 f"lambda / x^alpha D^(alpha) u is unbounded at x = 0 unless D^(alpha) u(0) = 0"
+            )
+        if self.alpha < 1 and self.b != 0:
+            raise ValueError(
+                f"b must be 0 when alpha < 1, got alpha = {self.alpha} and b = {self.b}: "
+                f"D^(alpha) u(0) of any u with bounded u' is 0 for alpha < 1"
             )
 
     @cached_property
@@ -569,7 +576,8 @@ def residual_certificate(
 
     Independent of the operational matrices, so it exposes their projection
     error: at the collocation points of a converged solve the residual is
-    at rounding level only if the matrices did their job.
+    at rounding level only if the matrices did their job.  u and both
+    derivatives are GeneralizedPolynomials, each called once on the grid.
     """
     xs = [float(x) for x in grid]
     bad = [x for x in xs if not 0.0 < x <= 1.0]
@@ -578,14 +586,11 @@ def residual_certificate(
     mono = basis.M.T @ coefficient_vector(C, basis)  # monomial coefficients of C^T B
     u_poly = GeneralizedPolynomial.from_terms((c, float(k)) for k, c in enumerate(mono))
     x = np.array(xs)
-    def on_grid(poly: GeneralizedPolynomial) -> np.ndarray:
-        # term by term in term order, as poly(x) sums them at each point
-        return sum((c * x ** e for c, e in poly.terms), np.zeros_like(x))
-    d1 = on_grid(fraccalc.caputo_polynomial(u_poly, problem.alpha))
-    d2 = on_grid(fraccalc.caputo_polynomial(u_poly, 2.0 * problem.alpha))
+    d1 = fraccalc.caputo_polynomial(u_poly, problem.alpha)(x)
+    d2 = fraccalc.caputo_polynomial(u_poly, 2.0 * problem.alpha)(x)
     f = problem.compiled
     s = np.array(_eval_all(f.s, "x", xs, "s(x)"))
-    g = np.array(_eval_all(f.g, "u", on_grid(u_poly).tolist(), "g(u)"))
+    g = np.array(_eval_all(f.g, "u", u_poly(x).tolist(), "g(u)"))
     h = np.array(_eval_all(f.h, "x", xs, "h(x)"))
     resid = d2 + problem.lam / x ** problem.alpha * d1 + s * g - h
     return list(zip(xs, resid.tolist()))

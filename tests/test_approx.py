@@ -8,7 +8,6 @@ from fracemden.approx import (
     EvaluationError,
     integrate_01,
     l2_error,
-    max_abs_error_on_grid,
     project,
 )
 from fracemden.polybasis import boubaker_polynomial, build_basis, eval_series
@@ -224,19 +223,3 @@ class TestMonotoneConvergence:
         for prev, nxt in zip(errs, errs[1:]):
             assert nxt < prev + 1e-12
 
-
-class TestMaxAbsErrorOnGrid:
-    def test_exact_representation_all_zero(self):
-        basis = build_basis(2)
-        rows = max_abs_error_on_grid(
-            lambda x: 3 + x * x, [1.0, 0.0, 1.0], basis, [0.1, 0.5, 0.9]
-        )
-        assert all(err <= 1e-13 for _, err in rows)
-
-    def test_reports_pointwise(self):
-        basis = build_basis(2)
-        rows = max_abs_error_on_grid(
-            lambda x: 3 + x * x + 1e-3, [1.0, 0.0, 1.0], basis, [0.25, 0.75]
-        )
-        assert [x for x, _ in rows] == [0.25, 0.75]
-        assert all(err == pytest.approx(1e-3, rel=1e-9) for _, err in rows)

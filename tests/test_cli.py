@@ -168,6 +168,19 @@ class TestSolveCommand:
         assert "cond_J = none: no Jacobian was factorized" in lines
         assert not any(line.startswith("warning") for line in lines)
 
+    def test_ill_conditioned_jacobian_writes_a_warning(self, tmp_path):
+        with open(os.path.join(PROBLEMS_DIR, "lane_emden_n1.prob")) as fh:
+            text = fh.read()
+        prob = tmp_path / "p.prob"
+        prob.write_text(text.replace("N      = 6\n", "N      = 15\n"))
+        code, _ = run("solve", str(prob), "--out", str(tmp_path / "o"))
+        assert code == 0
+        lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("cond_J = "))
+        assert float(lines[k].split(" = ")[1]) > 1e10  # 1.354e13
+        assert lines[k + 1] == ("warning: Jacobian condition number 1.354e+13 exceeds 1e+10; "
+                                "coefficients may carry significant rounding error")
+
     def test_exact_representation_error(self, tmp_path):
         prob = os.path.join(PROBLEMS_DIR, "shifted_power_alpha1.prob")
         code, out = run("solve", prob, "--out", str(tmp_path / "o"))
@@ -265,12 +278,15 @@ class TestSolveCommand:
         ("max_iters = -1", "max_iters must be >= 0, got -1"),
         ('h = "' + "+".join(["x"] * 900) + '"', "nested 900 levels deep, more than 100"),
         ("b = 0.5", "b must be 0 when lambda > 0, got lambda = 2.0 and b = 0.5: "),
-    ], ids=["negative_max_iters", "deep_expression", "b_with_lambda"])
+        ("alpha = 0.7\nlambda = 0\nb = 1",
+         "b must be 0 when alpha < 1, got alpha = 0.7 and b = 1.0: "),
+    ], ids=["negative_max_iters", "deep_expression", "b_with_lambda", "b_with_alpha_below_one"])
     def test_refused_input_exit2(self, tmp_path, capsys, line, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "3"}
-        key, _, value = line.partition(" = ")
-        fields[key] = value
+        for assignment in line.split("\n"):
+            key, _, value = assignment.partition(" = ")
+            fields[key] = value
         bad = tmp_path / "bad.prob"
         bad.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
         code, _ = run("solve", str(bad), "--out", str(tmp_path / "o"))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,25 @@ class TestGeneralizedPolynomial:
     def test_evaluation(self):
         p = GeneralizedPolynomial.from_terms([(2.0, 1.3)])
         assert p(0.5) == pytest.approx(2.0 * 0.5 ** 1.3, rel=1e-15)
+
+    def test_grid_evaluation_sums_terms_in_order(self):
+        # numpy's power over the grid, added term by term from zeros; a
+        # float still gives a float
+        p = GeneralizedPolynomial.from_terms([(3.0, 0.0), (-2.5, 0.3), (1e8, 1.7), (-1e8, 2.0)])
+        x = np.array([0.0, 1e-3, 0.25, 0.5, 1.0])
+        want = np.zeros_like(x)
+        for c, e in p.terms:
+            want = want + c * np.power(x, e)
+        assert p(x).tobytes() == want.tobytes() and p(x)[0] == 3.0
+        assert type(p(0.25)) is float and p(0.0) == 3.0
+        assert GeneralizedPolynomial(())(x).tobytes() == np.zeros_like(x).tobytes()
+
+    @pytest.mark.parametrize("x,bad", [(-0.5, "-0.5"), (np.array([0.5, -0.25, 1.0]), "-0.25"),
+                                       (np.array([math.nan, -2.0]), "-2.0")],
+                             ids=["scalar", "array-entry", "after-nan"])
+    def test_negative_point_rejected(self, x, bad):
+        with pytest.raises(ValueError, match=f"^defined for x >= 0, got {re.escape(bad)}$"):
+            GeneralizedPolynomial.from_terms([(1.0, 1.0)])(x)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -235,6 +235,15 @@ class TestSolve:
             solve(lane_emden(1), 3, max_iters=0)
         assert err.value.best_residual > 0
 
+    def test_line_search_stop_raises(self):
+        # at the eighth step thirty halvings find no point of lower
+        # residual, far below the default max_iters of 50
+        problem = solver.problem_from_strings(1.0, 1.0, "1", "-u^2", "-1e4", 2.0, 0.0)
+        with pytest.raises(NonConvergenceError) as err:
+            solve(problem, 4)
+        assert err.value.iterations == 8
+        assert f"{err.value.best_residual:.3e}" == "6.907e+03"
+
     def test_negative_max_iters_refused(self):
         # it used to report "did not converge in 0 iterations"
         with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
@@ -276,8 +285,23 @@ class TestSolve:
                 "b must be 0 when lambda > 0, got lambda = 2.0 and b = 0.5: ")
                 + ".*unbounded at x = 0"):
             _with(lane_emden(5, alpha), b=0.5)
-        # lambda = 0 leaves b free
-        assert _with(lane_emden(5, alpha), lam=0.0, b=0.5).b == 0.5
+        # lambda = 0 leaves b free at alpha = 1 only (see the next two tests)
+        if alpha == 1.0:
+            assert _with(lane_emden(5, alpha), lam=0.0, b=0.5).b == 0.5
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.99])
+    def test_b_refused_when_alpha_below_one(self, alpha):
+        # D^(alpha) u(0) = 0 for every u with bounded u'; unrefused, this
+        # problem converges to a u_N whose value at 1 grows with N
+        with pytest.raises(ValueError, match=re.escape(
+                f"b must be 0 when alpha < 1, got alpha = {alpha} and b = 1.0: "
+                "D^(alpha) u(0) of any u with bounded u' is 0 for alpha < 1")):
+            solver.problem_from_strings(alpha, 0, "0", "u", "0", 1, 1)
+
+    def test_b_free_at_alpha_one_without_damping(self):
+        # u'' = 0, u(0) = 1, u'(0) = 1: u = 1 + x
+        report = solve(solver.problem_from_strings(1.0, 0, "0", "u", "0", 1, 1, exact="1 + x"), 4)
+        assert max(err for *_, err in report.error_table) <= 1e-14
 
 
 def _with(problem, **changes):

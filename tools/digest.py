@@ -18,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -31,6 +32,8 @@ OPMATRIX_KEYS = [("0.7041709495205126", "15"), ("0.7", "10"), ("1.5", "8"), ("2.
 START_ACCEPTED = [((1.0, 0.0, "1", "sqrt(u)", "0", 0.0, 0.0), 4),
                   ((0.7, 1.0, "1", "u", "0", 0.0, 0.0), 6),
                   ((0.8, 0.0, "x", "u^3", "0", 0.0, 0.0), 10)]
+# the b contract at lambda = 0: b = u'(0) = 1 is refused below alpha = 1 and solved at it
+B_CONTRACT = [((alpha, 0.0, "0", "u", "0", 1.0, 1.0), 4) for alpha in (0.7, 0.9, 1.0)]
 
 
 def commands():
@@ -48,11 +51,12 @@ def commands():
 
 
 def solve_lines(src):
-    """2,091 solves: the nonlinear family and every 10th alpha-sweep pool alpha
-    of perfbench/, lane_emden n = 1, 5 at alpha = 0.51..1.00 and N = 2..15, and
-    START_ACCEPTED.  A line holds the sha256 of C, the iterations, residual_inf,
-    the sha256 of repr(error_table) and of J (or "none"), or the error raised;
-    a built-in's line adds the sha256 of repr(problem)."""
+    """2,094 solves: the nonlinear family and every 10th alpha-sweep pool alpha
+    of perfbench/, lane_emden n = 1, 5 at alpha = 0.51..1.00 and N = 2..15,
+    START_ACCEPTED and B_CONTRACT.  A line holds the sha256 of C, the
+    iterations, residual_inf, the sha256 of repr(error_table) and of J (or
+    "none"), or the error raised, a refused problem's ValueError included; a
+    built-in's line adds the sha256 of repr(problem)."""
     sys.path[:0] = [str(src / "src"), str(ROOT / "perfbench")]
     import fracemden
     from fracemden import expr, problems, solver
@@ -60,10 +64,11 @@ def solve_lines(src):
     if not Path(fracemden.__file__).resolve().is_relative_to((src / "src").resolve()):
         sys.exit(f"error: fracemden was imported from {fracemden.__file__}, not {src / 'src'}")
 
-    def line(label, problem, N, built_in=False):
+    def line(label, make, N, built_in=False):
         try:
+            problem = make()
             r = solver.solve(problem, N)
-        except (solver.SolverError, expr.EvalError) as err:
+        except (ValueError, solver.SolverError, expr.EvalError) as err:
             text = f"{label}: {type(err).__name__}: {err}"
         else:
             J = "none" if r.J is None else sha256(r.J.tobytes()).hexdigest()
@@ -74,17 +79,19 @@ def solve_lines(src):
     nf = NonlinearFamily  # s = 1 and a forcing that makes u* = a + c x^(2 alpha) exact
     for v in nf.variants():
         alpha, g, lam, a, c = v
-        problem = solver.problem_from_strings(alpha, lam, "1", g, nf.h_source(*v), a, 0.0)
-        yield line(f"{nf.variant_id(*v)} N={nf.N}", problem, nf.N)
+        make = partial(solver.problem_from_strings, alpha, lam, "1", g, nf.h_source(*v), a, 0.0)
+        yield line(f"{nf.variant_id(*v)} N={nf.N}", make, nf.N)
     for kind in AlphaSweep.KINDS:
         for alpha in map(AlphaSweep.pool_alpha, range(0, AlphaSweep.POOL, 10)):
-            yield line(f"{kind}({alpha!r}) N={AlphaSweep.N}", getattr(problems, kind)(alpha),
-                       AlphaSweep.N, built_in=True)
+            yield line(f"{kind}({alpha!r}) N={AlphaSweep.N}",
+                       partial(getattr(problems, kind), alpha), AlphaSweep.N, built_in=True)
     # about 300 of these 1,400 stop on the rounding floor above tol
     for n, k, N in itertools.product((1, 5), range(51, 101), range(2, 16)):
-        yield line(f"lane_emden({n}, {k / 100!r}) N={N}", problems.lane_emden(n, k / 100), N, True)
-    for args, N in START_ACCEPTED:
-        yield line(f"problem_from_strings{args!r} N={N}", solver.problem_from_strings(*args), N)
+        yield line(f"lane_emden({n}, {k / 100!r}) N={N}", partial(problems.lane_emden, n, k / 100),
+                   N, True)
+    for args, N in START_ACCEPTED + B_CONTRACT:
+        yield line(f"problem_from_strings{args!r} N={N}",
+                   partial(solver.problem_from_strings, *args), N)
 
 
 def digest(src, out):
