@@ -33,12 +33,11 @@ closures of one variable.  Every operator node goes through one step,
 _node: its rule (_rule) is applied to its compiled operands, folded into
 a constant where they all are constants and it raises nothing, else kept
 as one closure (a subtree that raises stays one, so each call raises
-again).  A power whose exponent folds to a float b >= 0 (u^3, pow(u, 5))
-becomes a closure of its base alone, with the checks of the power rules
-that read only b settled once, there.  A call makes the same math.* calls
-and double operations, in the same order, as a walk of the tree, so
-values and errors are identical; evaluate and evaluate_with_derivative
-compile and call once.
+again).  Every power, by '^' or pow, with a constant exponent or not, goes
+through _power and _power_dual.  A call makes the same math.* calls and
+double operations, in the same order, as a walk of the tree, so values
+and errors are identical; evaluate and evaluate_with_derivative compile
+and call once.
 
 compile_template compiles a tree over placeholder variables once, for its
 value only, and binds values to them later: each bind builds the nodes
@@ -348,38 +347,6 @@ def _power_dual(x, y, node):
     return v, _power_derivative(a, da, b, db, v, node)
 
 
-def _power_by(b: float, node: Expression, dual: bool):
-    """The value rule of a^b, or with dual its dual rule, for a constant
-    float b >= 0, as a function of a (or of (a, da)) alone.  It raises and
-    returns what _power and _power_dual do, with the checks on b alone made
-    here: b is never negative, b - 1 is an integer wherever a < 0 gets that
-    far, and a zero base reaches a^(b - 1) only with b >= 1."""
-    fractional = not b.is_integer()
-    b1 = b - 1
-
-    def value(a):
-        if a < 0 and fractional:
-            raise EvalError(f"fractional power of negative base ({a!r})^({b!r})", node)
-        try:
-            return a ** b
-        except OverflowError:
-            raise EvalError("overflow", node) from None
-
-    def pair(x):
-        a, da = x
-        v = value(a)
-        if not (da and b):
-            return v, 0.0
-        if a == 0 and b < 1:
-            raise EvalError("power has no derivative at a zero base", node)
-        try:
-            return v, 0.0 + b * a ** b1 * da
-        except OverflowError:
-            raise EvalError("overflow", node) from None
-
-    return pair if dual else value
-
-
 # value(*operand values, node) -> float and
 # dual(*(value, derivative) pairs, node) -> (value, derivative)
 _Rule = namedtuple("_Rule", "arity value dual")
@@ -463,9 +430,8 @@ def _node(e: Expression, rule: _Rule, dual: bool, a, b=None):
     """The operator node e, of the rule given, over its compiled operands a
     and, for a binary rule, b (each a value, or a closure of the variable):
     folded into its value where every operand is one and the rule raises
-    nothing, else one closure over the rule.  A power whose exponent is a
-    float b >= 0 gets the closure of _power_by; a subtree that raises stays
-    a closure, so each call raises as a walk would."""
+    nothing, else one closure over the rule; a subtree that raises stays a
+    closure, so each call raises as a walk would."""
     op = rule.dual if dual else rule.value
     if rule.arity == 1:
         if callable(a):
@@ -475,10 +441,6 @@ def _node(e: Expression, rule: _Rule, dual: bool, a, b=None):
         if callable(a):
             if callable(b):
                 return lambda v: op(a(v), b(v), e)
-            exponent = b[0] if dual else b
-            if rule.value is _power and type(exponent) is float and exponent >= 0:
-                power = _power_by(exponent, e, dual)
-                return lambda v: power(a(v))
             return lambda v: op(a(v), b, e)
         if callable(b):
             return lambda v: op(a, b(v), e)

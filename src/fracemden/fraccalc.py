@@ -50,11 +50,12 @@ class GeneralizedPolynomial:
     """Finite sum of c * x^e terms with finite real exponents e >= 0.
 
     Closed under the Caputo rules used here, unlike plain polynomials.
-    Terms are canonicalized: zero coefficients dropped, equal exponents
-    merged, sorted by exponent.  Calling it at x >= 0, a float or an array
-    of points, adds c * x ** e in term order (0.0 ** e is 1 at e = 0 and 0
-    above it): a float by Python's pow, an array by numpy's power, which
-    may differ in the last bit.
+    Terms are canonicalized: equal exponents merged, a merged coefficient
+    that is not finite refused, zero coefficients dropped, sorted by
+    exponent.  Calling it at x >= 0, a float or an array of points, adds
+    c * x ** e in term order (0.0 ** e is 1 at e = 0 and 0 above it): a
+    float by Python's pow, an array by numpy's power, which may differ in
+    the last bit.
     """
 
     terms: tuple[tuple[float, float], ...]  # (coefficient, exponent)
@@ -68,6 +69,9 @@ class GeneralizedPolynomial:
             if not math.isfinite(e):
                 raise ValueError(f"exponent must be finite, got {e}")
             merged[e] = merged.get(e, 0.0) + c
+        for e, c in merged.items():
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of x^{e} must be finite, got {c}")
         canon = tuple(
             (c, e) for e, c in sorted(merged.items()) if c != 0.0
         )

@@ -139,12 +139,18 @@ class SingularJacobianError(SolverError):
 
 
 class NonConvergenceError(SolverError):
-    def __init__(self, best_residual: float, iterations: int):
+    """Newton stopped above its stop level max(tol, floor): after max_iters
+    iterations, or where the line search found no lower residual."""
+
+    def __init__(self, best_residual: float, iterations: int, stop_level: float,
+                 line_search: bool = False):
         self.best_residual = best_residual
         self.iterations = iterations
+        self.stop_level = stop_level
+        cause = (f"Newton's line search found no lower residual at iteration {iterations}"
+                 if line_search else f"Newton did not converge in {iterations} iterations")
         super().__init__(
-            f"Newton did not converge in {iterations} iterations; "
-            f"best residual {best_residual:.3e}"
+            f"{cause}; best residual {best_residual:.3e}, stop level {stop_level:.3e}"
         )
 
 
@@ -530,7 +536,7 @@ def solve(
     while rnorm > tol and (rnorm > _floor_bound(system, sg, C)
                            or rnorm > _floor(system, sg, C)):
         if iters >= max_iters:
-            raise NonConvergenceError(rnorm, iters)
+            raise NonConvergenceError(rnorm, iters, max(tol, _floor(system, sg, C)))
         dg = _eval_all(problem.compiled.g_dual, "u", u, "g'(u)")
         sdg = [s * slope for s, (_, slope) in zip(system.s, dg)]
         try:
@@ -556,7 +562,8 @@ def solve(
                 break
             t *= 0.5
         else:
-            raise NonConvergenceError(rnorm, iters + 1)
+            raise NonConvergenceError(rnorm, iters + 1, max(tol, _floor(system, sg, C)),
+                                      line_search=True)
         C, r, sg, u, rnorm = Cn, rn, sgn, un, rn_norm
         iters += 1
 

@@ -501,8 +501,8 @@ class TestConstantFolding:
 
 
 class TestConstantExponent:
-    # an exponent that folds to b >= 0 compiles to its own closure; u^-2
-    # keeps the general rule
+    # a compiled power whose exponent folds to a constant, of either sign,
+    # raises and returns what the power rules do on each base
     @pytest.mark.parametrize(
         "src", ["u^0", "u^2", "u^3", "pow(u, 3)", "u^-2", "u^0.5", "u^1e-20"]
     )

@@ -129,6 +129,19 @@ class TestGeneralizedPolynomial:
         with pytest.raises(ValueError, match=f"^exponent must be finite, got {e}$"):
             GeneralizedPolynomial.from_terms([(1.0, 1.0), (1.0, e)])
 
+    @pytest.mark.parametrize(
+        "terms,bad",
+        [([(math.inf, 1.0)], "inf"), ([(1.0, 0.0), (math.nan, 0.5)], "nan"),
+         ([(1e308, 2.0), (1e308, 2.0)], "inf"), ([(math.inf, 2.0), (-math.inf, 2.0)], "nan")],
+        ids=["inf", "nan", "merged-overflow", "merged-inf-minus-inf"],
+    )
+    def test_non_finite_coefficient_rejected(self, terms, bad):
+        # checked after equal exponents are merged; it used to be accepted,
+        # and the polynomial then evaluated to nan (inf * 0.0 at x = 0)
+        message = f"coefficient of x^{terms[-1][1]} must be finite, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneralizedPolynomial.from_terms(terms)
+
 
 class TestCaputoMonomial:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 2.0])
@@ -204,6 +217,12 @@ class TestCaputoPolynomial:
     def test_type_error(self):
         with pytest.raises(TypeError):
             caputo_polynomial([1.0, 2.0], 1.0)
+
+    def test_overflowing_image_coefficient_rejected(self):
+        # 1e308 * Gamma(4) / Gamma(3.5) overflows to inf
+        g = GeneralizedPolynomial.from_terms([(1e308, 3.0)])
+        with pytest.raises(ValueError, match=r"^coefficient of x\^2\.5 must be finite, got inf$"):
+            caputo_polynomial(g, 0.5)
 
 
 class TestBuildZ:

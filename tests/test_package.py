@@ -88,3 +88,19 @@ def test_solve_paths_load_no_gram_layer(tmp_path, argv):
     loaded = loaded_modules(run_cli(*argv, "--out", str(tmp_path / "o")))
     assert "fracemden.solver" in loaded
     assert {"fracemden.linalg", "fractions", "decimal"} & loaded == set()
+
+
+def test_numpy_private_solve_gufunc_matches_linalg_solve():
+    # fracemden.solver._newton_step calls this private numpy symbol with no
+    # fallback; a numpy that renames or changes it fails here, by name
+    import numpy as np
+
+    solve1 = getattr(getattr(np.linalg, "_umath_linalg", None), "solve1", None)
+    assert solve1 is not None, (
+        "numpy.linalg._umath_linalg.solve1 is gone; fracemden.solver._newton_step calls it")
+    k = np.arange(7.0)
+    A = 1.0 / (k[:, None] + k + 1.0) + np.diag(k + 1.0)  # Hilbert plus a diagonal
+    b = np.cos(k)
+    assert solve1(A, b, signature="dd->d").tobytes() == np.linalg.solve(A, b).tobytes(), (
+        "numpy.linalg._umath_linalg.solve1 no longer equals np.linalg.solve; "
+        "fracemden.solver._newton_step relies on it")

@@ -233,7 +233,10 @@ class TestSolve:
     def test_nonconvergence_raises(self):
         with pytest.raises(NonConvergenceError) as err:
             solve(lane_emden(1), 3, max_iters=0)
-        assert err.value.best_residual > 0
+        assert err.value.best_residual > 0 and err.value.stop_level == 1e-10
+        assert str(err.value) == (
+            "Newton did not converge in 0 iterations; best residual 1.000e+00, "
+            "stop level 1.000e-10")
 
     def test_line_search_stop_raises(self):
         # at the eighth step thirty halvings find no point of lower
@@ -243,6 +246,23 @@ class TestSolve:
             solve(problem, 4)
         assert err.value.iterations == 8
         assert f"{err.value.best_residual:.3e}" == "6.907e+03"
+        assert str(err.value).startswith(
+            "Newton's line search found no lower residual at iteration 8; "
+            "best residual 6.907e+03, stop level ")
+
+    def test_line_search_stall_names_its_stop_level(self):
+        # a rounding-level stall 2.5 times above the floor, which lies above
+        # tol here: the error used to read as a max_iters stop and named
+        # neither the line search nor the level it had to reach
+        problem = solver.problem_from_strings(0.75, 0, "1", "u^2", "1e4", 0, 0)
+        with pytest.raises(NonConvergenceError) as err:
+            solve(problem, 4)
+        assert err.value.iterations == 12
+        assert f"{err.value.best_residual:.3e}" == "2.910e-10"
+        assert 1e-10 < err.value.stop_level < err.value.best_residual
+        assert str(err.value) == (
+            "Newton's line search found no lower residual at iteration 12; "
+            f"best residual 2.910e-10, stop level {err.value.stop_level:.3e}")
 
     def test_negative_max_iters_refused(self):
         # it used to report "did not converge in 0 iterations"

@@ -47,7 +47,7 @@ def test_digest_holds_every_artifact_and_exit_status(head):
 
 def test_digest_prints_one_line_per_solve(head):
     lines = (head / "solves.txt").read_text().splitlines()
-    assert len(lines) == 2088 + 3 + 3
+    assert len(lines) == 2088 + 3 + 3 + 2
     labels = [line.partition(": ")[0] for line in lines]
     assert len(set(labels)) == len(labels)
     assert sum(line.endswith(" none") for line in lines) >= 1

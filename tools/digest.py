@@ -34,6 +34,9 @@ START_ACCEPTED = [((1.0, 0.0, "1", "sqrt(u)", "0", 0.0, 0.0), 4),
                   ((0.8, 0.0, "x", "u^3", "0", 0.0, 0.0), 10)]
 # the b contract at lambda = 0: b = u'(0) = 1 is refused below alpha = 1 and solved at it
 B_CONTRACT = [((alpha, 0.0, "0", "u", "0", 1.0, 1.0), 4) for alpha in (0.7, 0.9, 1.0)]
+# the line search finds no lower residual: at rounding level, and far above it
+LINE_SEARCH_STOPS = [((0.75, 0.0, "1", "u^2", "1e4", 0.0, 0.0), 4),
+                     ((1.0, 1.0, "1", "-u^2", "-1e4", 2.0, 0.0), 4)]
 
 
 def commands():
@@ -51,12 +54,12 @@ def commands():
 
 
 def solve_lines(src):
-    """2,094 solves: the nonlinear family and every 10th alpha-sweep pool alpha
+    """2,096 solves: the nonlinear family and every 10th alpha-sweep pool alpha
     of perfbench/, lane_emden n = 1, 5 at alpha = 0.51..1.00 and N = 2..15,
-    START_ACCEPTED and B_CONTRACT.  A line holds the sha256 of C, the
-    iterations, residual_inf, the sha256 of repr(error_table) and of J (or
-    "none"), or the error raised, a refused problem's ValueError included; a
-    built-in's line adds the sha256 of repr(problem)."""
+    START_ACCEPTED, B_CONTRACT and LINE_SEARCH_STOPS.  A line holds the sha256
+    of C, the iterations, residual_inf, the sha256 of repr(error_table) and
+    of J (or "none"), or the error raised, a refused problem's ValueError
+    included; a built-in's line adds the sha256 of repr(problem)."""
     sys.path[:0] = [str(src / "src"), str(ROOT / "perfbench")]
     import fracemden
     from fracemden import expr, problems, solver
@@ -89,7 +92,7 @@ def solve_lines(src):
     for n, k, N in itertools.product((1, 5), range(51, 101), range(2, 16)):
         yield line(f"lane_emden({n}, {k / 100!r}) N={N}", partial(problems.lane_emden, n, k / 100),
                    N, True)
-    for args, N in START_ACCEPTED + B_CONTRACT:
+    for args, N in START_ACCEPTED + B_CONTRACT + LINE_SEARCH_STOPS:
         yield line(f"problem_from_strings{args!r} N={N}",
                    partial(solver.problem_from_strings, *args), N)
 
