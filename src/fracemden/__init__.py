@@ -20,7 +20,7 @@ __version__ = "1.0.0"
 _PUBLIC = {
     "approx": "EvaluationError l2_error project",
     "fraccalc": "GeneralizedPolynomial OperationalMatrix build_D build_D_pair build_E "
-                "build_Z caputo_monomial caputo_polynomial",
+                "caputo_monomial caputo_polynomial",
     "linalg": "SingularMatrixError condition_estimate gram hilbert lu_solve",
     "polybasis": "BoubakerBasis Polynomial boubaker_coefficient boubaker_polynomial "
                  "boubaker_recurrence_check build_basis build_M eval_basis eval_series",

@@ -36,8 +36,7 @@ as one closure (a subtree that raises stays one, so each call raises
 again).  Every power, by '^' or pow, with a constant exponent or not, goes
 through _power and _power_dual.  A call makes the same math.* calls and
 double operations, in the same order, as a walk of the tree, so values
-and errors are identical; evaluate and evaluate_with_derivative compile
-and call once.
+and errors are identical; evaluate compiles and calls once.
 
 compile_template compiles a tree over placeholder variables once, for its
 value only, and binds values to them later: each bind builds the nodes
@@ -489,8 +488,11 @@ def compile_expression(e: Expression, name: str):
 
 
 def compile_with_derivative(e: Expression, name: str):
-    """e as a function of one float v returning evaluate_with_derivative(e,
-    name, v), folded like compile_expression."""
+    """e as a function of one float v returning the value of e at name = v,
+    as evaluate gives it, and its derivative in name, by forward-mode
+    differentiation, folded like compile_expression.  Where the derivative
+    does not exist (sqrt or abs at 0, a power below 1 at a zero base) the
+    call raises EvalError naming the subexpression."""
     return _closure(_compile(e, name, {}, True))
 
 
@@ -558,16 +560,6 @@ def evaluate(e: Expression, bindings: dict[str, float]) -> float:
     problems (carrying the subexpression) or missing bindings."""
     f = _compile(e, None, bindings, False)
     return f(None) if callable(f) else f
-
-
-def evaluate_with_derivative(
-    e: Expression, name: str, value: float
-) -> tuple[float, float]:
-    """Value of e, as evaluate gives it, and its derivative in the variable
-    `name`, both at name = value, by forward-mode differentiation.  Where
-    the derivative does not exist (sqrt or abs at 0, a power below 1 at a
-    zero base) EvalError names the subexpression."""
-    return compile_with_derivative(e, name)(value)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

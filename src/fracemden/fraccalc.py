@@ -9,7 +9,9 @@ basis by L2 projection, yields an (N+1)x(N+1) matrix D with
     D^alpha B(x) ~= D B(x),
 
 so differentiating a coefficient vector reduces to one matrix product.
-Supported orders are 0 < alpha <= 2.
+Supported orders are 0 < alpha <= 2.  D is the paper's M Z E formed as
+(M z) E: the columns of M scaled by z, the Caputo factors of x^0..x^N (the
+diagonal of the paper's Z), then one product with the expansion matrix E.
 
 The projection of x^beta, beta = i - alpha, onto polynomials of degree N
 solves a Hilbert-type (Cauchy) system with a closed-form inverse (M.-D.
@@ -115,8 +117,13 @@ def caputo_monomial(beta: float, alpha: float) -> GeneralizedPolynomial:
         raise ValueError(
             f"Caputo image of x^{beta} at order {alpha} has negative exponent"
         )
-    coef = math.gamma(beta + 1.0) / math.gamma(beta + 1.0 - alpha)
-    return GeneralizedPolynomial(((coef, beta - alpha),))
+    return GeneralizedPolynomial(((_caputo_factor(beta, alpha), beta - alpha),))
+
+
+def _caputo_factor(beta: float, alpha: float) -> float:
+    """Gamma(beta+1)/Gamma(beta+1-alpha) by math.gamma: the Caputo factor of
+    x^beta, a quotient of exact factorials for integer beta and alpha."""
+    return math.gamma(beta + 1.0) / math.gamma(beta + 1.0 - alpha)
 
 
 def caputo_polynomial(P, alpha: float) -> GeneralizedPolynomial:
@@ -146,20 +153,6 @@ def _check_order(alpha: float, N: int) -> int:
     if ca > N:
         raise ValueError(f"ceil(alpha)={ca} exceeds degree bound N={N}")
     return ca
-
-
-def build_Z(alpha: float, N: int) -> np.ndarray:
-    """Diagonal Gamma-ratio factors: entry (j, j) = Gamma(j+1)/Gamma(j+1-alpha)
-    for j = ceil(alpha)..N, zero otherwise.
-
-    Both Gammas are math.gamma at arguments >= 1.  For integer alpha they
-    are exact factorials, so the entries are exact integers.
-    """
-    ca = _check_order(alpha, N)
-    Z = np.zeros((N + 1, N + 1))
-    for j in range(ca, N + 1):
-        Z[j, j] = math.gamma(j + 1.0) / math.gamma(j + 1.0 - alpha)
-    return Z
 
 
 @lru_cache(maxsize=32)
@@ -246,13 +239,19 @@ class OperationalMatrix:
 
 def _caputo_matrices(alpha: float, basis: BoubakerBasis,
                      multiples: tuple[int, ...]) -> list[np.ndarray]:
-    """D = M Z E of each order m alpha, m in multiples, from one _expansions call."""
-    E = _expansions(alpha, basis.N, multiples)
-    return [basis.M @ build_Z(m * alpha, basis.N) @ E_m for m, E_m in zip(multiples, E)]
+    """D = (M z) E of each order m alpha, m in multiples, from one _expansions
+    call: z_j = _caputo_factor(j, m alpha) for j >= ceil(m alpha), 0 below,
+    scales column j of M.  The same bits as M @ diag(z) @ E."""
+    N, out = basis.N, []
+    for m, E_m in zip(multiples, _expansions(alpha, N, multiples)):
+        ca = math.ceil(m * alpha)  # m alpha is exact for m = 1, 2
+        z = [0.0] * ca + [_caputo_factor(j, m * alpha) for j in range(ca, N + 1)]
+        out.append((basis.M * z) @ E_m)
+    return out
 
 
 def build_D(alpha: float, basis: BoubakerBasis) -> OperationalMatrix:
-    """Operational matrix D = M Z E with rows 0..ceil(alpha)-1 exactly zero.
+    """Operational matrix D = (M z) E with rows 0..ceil(alpha)-1 exactly zero.
 
     For integer alpha each x^(i-alpha) lies in the span, the exact
     projection recovers its integer coordinates, and D is exact.

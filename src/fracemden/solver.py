@@ -43,8 +43,8 @@ formed and factorized in _newton_step, one call of the dgesv gufunc that
 np.linalg.solve wraps, under the errstate np.linalg.solve opens: that
 skips only the wrapper's argument conversion and type checks, nearly half
 the cost of a 7 x 7 solve.  numpy.linalg._umath_linalg is private to
-numpy; _newton_step is its only user here, with no fallback, so a numpy
-that renames it fails the tests.
+numpy, so its import is guarded: where it is missing, _newton_step calls
+np.linalg.solve, with the same bits and the same LinAlgError.
 
 The stop level is max(tol, floor); the rounding floor, an |A||C| product,
 is computed only where it can decide: while the residual is above tol and
@@ -83,7 +83,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # only _newton_step may call it
+try:  # private to numpy; only _newton_step may call it
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:
+    _solve1 = None
 
 from . import expr, fraccalc
 from .fraccalc import GeneralizedPolynomial, OperationalMatrix
@@ -413,7 +416,7 @@ def _newton_step(A: np.ndarray, Phi: np.ndarray, sdg: list, r: np.ndarray):
     """
     J = A.copy()
     J[: len(sdg)] += np.array(sdg)[:, None] * Phi
-    return J, _umath_linalg.solve1(J, -r, signature="dd->d")
+    return J, np.linalg.solve(J, -r) if _solve1 is None else _solve1(J, -r, signature="dd->d")
 
 
 def _floor_bound(system: _System, sg: list, C: np.ndarray) -> float:

@@ -25,7 +25,6 @@ from fracemden.expr import (
     compile_template,
     compile_with_derivative,
     evaluate,
-    evaluate_with_derivative,
     parse,
     to_string,
 )
@@ -191,7 +190,7 @@ class TestDerivative:
     )
     def test_matches_central_difference(self, src, u):
         e = parse(src, U)
-        value, slope = evaluate_with_derivative(e, "u", u)
+        value, slope = compile_with_derivative(e, "u")(u)
         assert value == evaluate(e, {"u": u})
         h = 1e-6
         central = (evaluate(e, {"u": u + h}) - evaluate(e, {"u": u - h})) / (2 * h)
@@ -201,11 +200,11 @@ class TestDerivative:
         monkeypatch.setattr(
             "fracemden.expr._digamma", lambda x: pytest.fail("digamma called")
         )
-        assert evaluate_with_derivative(parse("gamma(2.5)*u", U), "u", 1.0)[1] == (
+        assert compile_with_derivative(parse("gamma(2.5)*u", U), "u")(1.0)[1] == (
             evaluate(parse("gamma(2.5)", U), {})
         )
         # no ln of the negative base: the exponent does not vary
-        assert evaluate_with_derivative(parse("u^3", U), "u", -2.0) == (-8.0, 12.0)
+        assert compile_with_derivative(parse("u^3", U), "u")(-2.0) == (-8.0, 12.0)
 
     @pytest.mark.parametrize(
         "src,u",
@@ -219,14 +218,14 @@ class TestDerivative:
         with pytest.raises(EvalError) as want:
             evaluate(e, {"u": u})
         with pytest.raises(EvalError) as got:
-            evaluate_with_derivative(e, "u", u)
+            compile_with_derivative(e, "u")(u)
         assert str(got.value) == str(want.value)
         assert got.value.subexpr == want.value.subexpr
 
     def test_missing_binding_matches_evaluate(self):
         e = parse("x + u", {"x", "u"})
         with pytest.raises(EvalError, match="no binding for variable 'x'"):
-            evaluate_with_derivative(e, "u", 1.0)
+            compile_with_derivative(e, "u")(1.0)
 
     @pytest.mark.parametrize(
         "src,u,sub",
@@ -237,7 +236,7 @@ class TestDerivative:
     def test_missing_derivative_names_subexpression(self, src, u, sub):
         evaluate(parse(src, U), {"u": u})  # the value itself exists
         with pytest.raises(EvalError, match="derivative") as err:
-            evaluate_with_derivative(parse(src, U), "u", u)
+            compile_with_derivative(parse(src, U), "u")(u)
         assert err.value.subexpr == parse(sub, U)
 
     @pytest.mark.parametrize(
@@ -313,7 +312,7 @@ class TestRoundTripProperty:
         assert value(parse(to_string(tree), X)) == value(tree)
 
 
-# The recursive tree walkers that evaluate and evaluate_with_derivative were
+# The recursive tree walkers that evaluate and its forward-mode derivative were
 # before they ran through compiled closures, kept as the reference; only the
 # value of a function call comes from the rule table the compiler uses.
 
@@ -442,7 +441,6 @@ class TestCompiledEqualsTreeWalk:
     def test_value_and_derivative(self, tree, u):
         want = _outcome(_walk_dual, tree, "u", u)
         assert _outcome(compile_with_derivative(tree, "u"), u) == want
-        assert _outcome(evaluate_with_derivative, tree, "u", u) == want
 
     @settings(max_examples=200, deadline=None)
     @given(_exprs({"x", "u", "a"}), st.dictionaries(st.sampled_from("xua"), _POINTS))

@@ -16,7 +16,6 @@ from fracemden.fraccalc import (
     build_D,
     build_D_pair,
     build_E,
-    build_Z,
     caputo_monomial,
     caputo_polynomial,
 )
@@ -35,9 +34,17 @@ TWO_OVER_GAMMA_2_3 = 1.71421924391892592
 TWO_OVER_SQRT_PI = 1.12837916709551257
 
 
+def _factors(alpha, N):
+    """z of D = (M z) E: the Caputo factor of x^j for j = 0..N, read from
+    caputo_monomial, 0 where it annihilates x^j."""
+    images = (caputo_monomial(float(j), alpha) for j in range(N + 1))
+    return np.array([0.0 if p.is_zero else p.terms[0][0] for p in images])
+
+
 class TestGamma:
     """Gamma as the operators consume it: math.gamma inside the Caputo
-    factors of build_Z and caputo_monomial, judged against mpmath."""
+    factors of caputo_monomial, which build_D scales M by, judged against
+    mpmath."""
 
     def test_one(self):
         # D^alpha x^alpha = Gamma(alpha+1)/Gamma(1): Gamma(1) divides out exactly
@@ -45,7 +52,8 @@ class TestGamma:
             assert caputo_monomial(alpha, alpha).terms == ((math.gamma(alpha + 1.0), 0.0),)
 
     def test_half(self):
-        assert build_Z(0.5, 1)[1, 1] == pytest.approx(TWO_OVER_SQRT_PI, rel=4.5e-16)
+        coef = caputo_monomial(1.0, 0.5).terms[0][0]
+        assert coef == pytest.approx(TWO_OVER_SQRT_PI, rel=4.5e-16)
 
     def test_2_3(self):
         coef = caputo_monomial(2.0, 0.7).terms[0][0]
@@ -54,8 +62,8 @@ class TestGamma:
     def test_integers_factorial(self):
         # integer orders divide exact factorials: the factors are exact integers
         j = np.arange(16.0)
-        assert np.array_equal(np.diag(build_Z(1.0, 15)), j)
-        assert np.array_equal(np.diag(build_Z(2.0, 15)), j * np.maximum(j - 1.0, 0.0))
+        assert np.array_equal(_factors(1.0, 15), j)
+        assert np.array_equal(_factors(2.0, 15), j * np.maximum(j - 1.0, 0.0))
         for n in range(2, 23):
             assert caputo_monomial(float(n), 2.0).terms == ((float(n * (n - 1)), n - 2.0),)
 
@@ -65,10 +73,10 @@ class TestGamma:
         worst = 0.0
         with mp.workdps(30):
             for alpha in (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0, 1.3, 1.5, 1.75):
-                Z = build_Z(alpha, 15)
+                z = _factors(alpha, 15)
                 for j in range(math.ceil(alpha), 16):
                     ref = mp.gamma(j + 1) / mp.gamma(j + 1 - mp.mpf(alpha))
-                    worst = max(worst, float(abs((Z[j, j] - ref) / ref)))
+                    worst = max(worst, float(abs((z[j] - ref) / ref)))
         assert worst <= 2e-15
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -226,22 +234,46 @@ class TestCaputoPolynomial:
 
 
 class TestBuildZ:
+    """Z of the paper's D = M Z E, the diagonal of Caputo factors: read
+    through caputo_monomial, and in build_D, which scales the columns of M
+    by them."""
+
+    @staticmethod
+    def _D_from(z, alpha, N):
+        basis = build_basis(N)
+        return basis.M @ np.diag(z) @ build_E(alpha, basis)
+
     def test_alpha1(self):
-        np.testing.assert_allclose(build_Z(1.0, 2), np.diag([0.0, 1.0, 2.0]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_factors(1.0, 2), [0.0, 1.0, 2.0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(build_D(1.0, build_basis(2)).D,
+                                   self._D_from([0.0, 1.0, 2.0], 1.0, 2), rtol=0, atol=1e-14)
 
     def test_alpha2(self):
-        np.testing.assert_allclose(
-            build_Z(2.0, 3), np.diag([0.0, 0.0, 2.0, 6.0]), rtol=0, atol=1e-13
-        )
+        np.testing.assert_allclose(_factors(2.0, 3), [0.0, 0.0, 2.0, 6.0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(build_D(2.0, build_basis(3)).D,
+                                   self._D_from([0.0, 0.0, 2.0, 6.0], 2.0, 3), rtol=0, atol=1e-13)
 
     def test_alpha_half(self):
-        Z = build_Z(0.5, 1)
-        assert Z[0, 0] == 0.0
-        assert Z[1, 1] == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-12)
+        z = _factors(0.5, 1)
+        assert z[0] == 0.0
+        assert z[1] == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-12)
+        np.testing.assert_allclose(build_D(0.5, build_basis(1)).D,
+                                   self._D_from([0.0, TWO_OVER_SQRT_PI], 0.5, 1), rtol=1e-12)
 
     def test_order_exceeds_degree(self):
-        with pytest.raises(ValueError):
-            build_Z(1.5, 1)
+        with pytest.raises(ValueError, match="exceeds degree bound"):
+            build_D(1.5, build_basis(1))
+
+    # the opmatrix keys of tools/digest.py, then a sweep of the solver's orders
+    @pytest.mark.parametrize("alpha,N", [
+        (0.7041709495205126, 15), (0.7, 10), (1.5, 8), (2.0, 15), (5e-324, 15),
+        (1.0000000000000002, 4), (2.0, 2), (0.5, 15), (1.0, 15),
+        *[(alpha, N) for alpha in (0.51, 0.6, 0.75, 0.9, 1.0) for N in range(2, 16)]])
+    def test_D_is_M_diag_z_E_bit_for_bit(self, alpha, N):
+        # scaling M's columns by z rounds as the product with diag(z) does,
+        # and (M z) E associates as M Z E; tobytes() tells -0.0 from 0.0
+        D = build_D(alpha, build_basis(N)).D
+        assert D.tobytes() == self._D_from(_factors(alpha, N), alpha, N).tobytes()
 
 
 def _gram_oracle_E(alpha, N):

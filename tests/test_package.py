@@ -91,13 +91,14 @@ def test_solve_paths_load_no_gram_layer(tmp_path, argv):
 
 
 def test_numpy_private_solve_gufunc_matches_linalg_solve():
-    # fracemden.solver._newton_step calls this private numpy symbol with no
-    # fallback; a numpy that renames or changes it fails here, by name
+    # fracemden.solver._newton_step calls this private numpy symbol and falls
+    # back to np.linalg.solve only where it is missing; a numpy that renames
+    # or changes it fails here, by name
     import numpy as np
 
     solve1 = getattr(getattr(np.linalg, "_umath_linalg", None), "solve1", None)
     assert solve1 is not None, (
-        "numpy.linalg._umath_linalg.solve1 is gone; fracemden.solver._newton_step calls it")
+        "numpy.linalg._umath_linalg.solve1 is gone; fracemden.solver._newton_step falls back")
     k = np.arange(7.0)
     A = 1.0 / (k[:, None] + k + 1.0) + np.diag(k + 1.0)  # Hilbert plus a diagonal
     b = np.cos(k)

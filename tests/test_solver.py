@@ -536,15 +536,40 @@ class TestExactNewton:
             assert np.all(solver._grid(N)[2] != 0.0)
 
     def test_singular_jacobian_raises(self):
-        # N = 2: J's collocation row 2*e_2 - 8*B(1/2) = [-8, -4, -16] is an
-        # exact combination of the initial-condition rows [1, 0, 2], [0, 1, 0]
-        problem = EmdenFowlerProblem(
-            alpha=1.0, lam=0.0, s=expr.parse("8", {"x"}),
-            g=expr.parse("-u", {"u"}), h=expr.parse("1", {"x"}), a=0.0, b=0.0,
-        )
         with pytest.raises(solver.SingularJacobianError) as err:
-            solve(problem, 2)
+            solve(_singular_problem(), 2)
         assert err.value.iteration == 0
+
+    def test_newton_step_falls_back_to_np_linalg_solve(self, monkeypatch):
+        # where numpy has no private solve1, _newton_step calls
+        # np.linalg.solve: the same C, J and iterations bit for bit, on
+        # lane_emden(5, 0.7) and a nonlinear-family variant, and a singular
+        # J still raises SingularJacobianError
+        cases = [(lane_emden(5, 0.7), 8),
+                 (_manufactured("exp(u)", alpha=0.75, lam=2.0, a=0.5, c=-0.5), 6)]
+        want = [solve(problem, N) for problem, N in cases]
+        calls, linalg_solve = [], np.linalg.solve
+        monkeypatch.setattr(solver, "_solve1", None)
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(args) or linalg_solve(*args))
+        for (problem, N), w in zip(cases, want):
+            got = solve(problem, N)
+            assert got.C.tobytes() == w.C.tobytes()
+            assert got.J.tobytes() == w.J.tobytes()
+            assert got.newton_iters == w.newton_iters
+        assert len(calls) >= sum(w.newton_iters for w in want) > 0
+        with pytest.raises(solver.SingularJacobianError) as err:
+            solve(_singular_problem(), 2)
+        assert err.value.iteration == 0
+
+
+def _singular_problem():
+    """At N = 2, J's collocation row 2*e_2 - 8*B(1/2) = [-8, -4, -16] is an
+    exact combination of the initial-condition rows [1, 0, 2], [0, 1, 0]."""
+    return EmdenFowlerProblem(
+        alpha=1.0, lam=0.0, s=expr.parse("8", {"x"}),
+        g=expr.parse("-u", {"u"}), h=expr.parse("1", {"x"}), a=0.0, b=0.0,
+    )
 
 
 def _manufactured(g, alpha=0.9, lam=1.0, a=1.0, c=0.25):

@@ -36,9 +36,9 @@ def test_digest_holds_every_artifact_and_exit_status(head):
     want |= {f"solve/{stem}/{name}" for stem in probs
              for name in ("coefficients.csv", "solution.csv", "report.txt")}
     assert want <= files
-    assert len([f for f in files if f.startswith("opmatrix/")]) == 8
+    assert len([f for f in files if f.startswith("opmatrix/")]) == 9
     status = (head / "status.txt").read_text().splitlines()
-    assert len(status) == 1 + len(probs) + 8 + 2 + 2
+    assert len(status) == 1 + len(probs) + 9 + 2 + 2
     assert all(line.startswith("0 ") for line in status)
     assert "0 solve problems/lane_emden_n5.prob" in status
     assert (head / "lines.txt").read_text().splitlines()[-1].split()[-1] == "total"

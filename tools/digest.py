@@ -24,10 +24,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent  # problems/ and perfbench/ come from here
 CLI = "import sys; from fracemden.cli import main; sys.exit(main(sys.argv[1:]))"
-# the last four are build_E's edge orders: the smallest positive order,
-# the order just above 1, a single nonzero row and the largest entries
+# the next four are build_E's edge orders: the smallest positive order,
+# the order just above 1, a single nonzero row and the largest entries; the
+# last is an integer order below 2: exact integers, one zero row and the
+# columns of M scaled by the degree
 OPMATRIX_KEYS = [("0.7041709495205126", "15"), ("0.7", "10"), ("1.5", "8"), ("2.0", "15"),
-                 ("5e-324", "15"), ("1.0000000000000002", "4"), ("2.0", "2"), ("0.5", "15")]
+                 ("5e-324", "15"), ("1.0000000000000002", "4"), ("2.0", "2"), ("0.5", "15"),
+                 ("1.0", "15")]
 # problem_from_strings arguments and N of solves accepted at their start point
 START_ACCEPTED = [((1.0, 0.0, "1", "sqrt(u)", "0", 0.0, 0.0), 4),
                   ((0.7, 1.0, "1", "u", "0", 0.0, 0.0), 6),
