@@ -7,10 +7,10 @@ conditioned routes are used:
 
 * functions that already lie in the span (residual at check points at
   rounding level) are recovered by interpolation at Chebyshev-Lobatto
-  nodes, with the Vandermonde system solved exactly over Fractions -- the
-  float nodes are dyadic rationals over one power of two and the basis has
-  integer coefficients, so the Vandermonde matrix is one integer product
-  and the only error left is the caller's own evaluation noise;
+  nodes, exactly over Fractions -- the float nodes are dyadic rationals,
+  so Newton divided differences give the interpolant's monomial
+  coefficients in O(N^2) and the integer inverse of M maps them to the
+  basis, and the only error left is the caller's own evaluation noise;
 * everything else goes through inner products against the shifted Legendre
   frame (orthogonal, so no amplification), one Horner pass over the whole
   integer Legendre table per panel, followed by an exact integer change of
@@ -33,11 +33,11 @@ import numpy as np
 
 from .polybasis import (
     BoubakerBasis,
-    build_M_int,
     eval_basis,  # unused here, but perfbench's tracer patches this binding
     eval_series,
     legendre_shifted_int,
     legendre_to_boubaker_int,
+    monomial_to_boubaker_int,
 )
 
 QUAD_POINTS = 64
@@ -100,32 +100,26 @@ def integrate_01(f, singular_at_zero: bool = False) -> float:
     return total
 
 
-@lru_cache(maxsize=32)
-def _lobatto_vandermonde(N: int):
-    """Chebyshev-Lobatto nodes on [0,1] and the exact rational Vandermonde
-    V[i][n] = B_n(node_i), both as tuples.  Each node is a_i/Q over one
-    power of two Q, so Q^N V is the integer product (a_i^k Q^(N-k)) M^T."""
+def _interpolate_exact(nodes, vals) -> np.ndarray:
+    """Basis coefficients of the polynomial through the points (nodes[i],
+    vals[i]): Newton divided differences over Fractions (Bjorck & Pereyra,
+    1970), the Newton form expanded into monomial coefficients, then the
+    integer change of basis; one rounding per coefficient."""
     from fractions import Fraction
 
-    if N == 0:
-        nodes = (0.5,)
-    else:
-        nodes = tuple((math.cos(i * math.pi / N) + 1.0) / 2.0 for i in range(N + 1))
-    Q = max(x.as_integer_ratio()[1] for x in nodes)
-    a = np.array([int(x * Q) for x in nodes], dtype=object)[:, None]
-    k = np.arange(N + 1).astype(object)
-    QNV = (a**k * Q ** (N - k)) @ build_M_int(N).T
-    return nodes, tuple(tuple(Fraction(v, Q**N) for v in row) for row in QNV.tolist())
-
-
-def _interpolate_exact(vals: list[float], N: int) -> np.ndarray:
-    from fractions import Fraction
-
-    from .linalg import solve_fractions
-
-    _, V = _lobatto_vandermonde(N)
-    sol = solve_fractions(V, [Fraction(v) for v in vals])
-    return np.array([float(v) for v in sol])
+    xs = [Fraction(x) for x in nodes]
+    c = [Fraction(v) for v in vals]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    p = [c[-1]]  # ascending monomial coefficients, by p <- p (x - xs[k]) + c[k]
+    for k in range(len(xs) - 2, -1, -1):
+        p = [0, *p]
+        for j in range(len(p) - 1):
+            p[j] -= xs[k] * p[j + 1]
+        p[0] += c[k]
+    C = np.array(p, dtype=object) @ monomial_to_boubaker_int(len(xs) - 1)
+    return np.array([float(v) for v in C])
 
 
 def _project_legendre(f, basis: BoubakerBasis, singular_at_zero: bool) -> np.ndarray:
@@ -155,9 +149,11 @@ def project(f, basis: BoubakerBasis, singular_at_zero: bool = False) -> np.ndarr
     """
     N = basis.N
     if not singular_at_zero:
-        nodes, _ = _lobatto_vandermonde(N)
-        vals = [float(v) for v in _sample(f, np.array(nodes))]
-        C_hat = _interpolate_exact(vals, N)
+        # Chebyshev-Lobatto nodes: dyadic floats, taken exactly as Fractions
+        nodes = [0.5] if N == 0 else [(math.cos(i * math.pi / N) + 1.0) / 2.0
+                                      for i in range(N + 1)]
+        vals = _sample(f, np.array(nodes)).tolist()
+        C_hat = _interpolate_exact(nodes, vals)
         check, _ = _gl01(N + 2)
         resid = float(np.max(np.abs(_sample(f, check) - eval_series(C_hat, check, basis))))
         scale = max(1.0, max(abs(v) for v in vals))

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .polybasis import Polynomial, build_basis, build_M_int, eval_basis, monomial_to_boubaker_int
+from .polybasis import build_basis, build_M_int, eval_basis, monomial_to_boubaker_int
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -37,23 +37,20 @@ def _f17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def poly_str(p) -> str:
-    """Human form with descending powers, e.g. 'x^3 + x' or 'x^4 - 2', of a
-    Polynomial or an ascending coefficient row; int coefficients print
-    exactly."""
-    coeffs = p.coeffs if isinstance(p, Polynomial) else p
+def poly_str(coeffs) -> str:
+    """Human form with descending powers, e.g. 'x^3 + x' or 'x^4 - 2', of an
+    ascending row of exact integer coefficients."""
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
             continue
         mag = abs(c)
-        mag_s = format(mag, "g") if isinstance(mag, float) else str(mag)
         if k == 0:
-            term = mag_s
+            term = str(mag)
         else:
             var = "x" if k == 1 else f"x^{k}"
-            term = var if mag == 1 else f"{mag_s}*{var}"
+            term = var if mag == 1 else f"{mag}*{var}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

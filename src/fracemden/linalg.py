@@ -6,10 +6,12 @@ and a 1-norm condition number that both go to numpy's LAPACK.  The
 exact-rational layer returns Fractions where Hilbert-like conditioning
 would ruin float64: the exact Gram matrix, one integer product over the
 common denominator of H, backs the positive-definiteness certificate, and
-the exact solve serves the Vandermonde interpolation in approx.  The
-operational matrix uses neither solve: its expansion matrix E comes from
-Choi's closed-form inverse of the Hilbert-type system and the integer
-inverse of M, in exact integer arithmetic (see fraccalc).
+an exact solve stands as a reference.  No module under src/ imports this
+one: it holds the acceptance suite's Gram certificate and the names the
+benchmark's tracer wraps.  The operational matrix uses neither solve: its
+expansion matrix E comes from Choi's closed-form inverse of the
+Hilbert-type system and the integer inverse of M, in exact integer
+arithmetic (see fraccalc).
 """
 
 from __future__ import annotations

@@ -126,20 +126,29 @@ class TestProject:
 
 class TestExactLayer:
     @pytest.mark.parametrize("N", range(16))
-    def test_lobatto_vandermonde_is_exact_horner(self, N):
+    def test_interpolate_exact_equals_vandermonde_solve(self, N):
+        # the reference: the exact Boubaker Vandermonde V[i][n] = B_n(x_i),
+        # by exact Horner at the Lobatto nodes, solved by Gaussian elimination
         from fractions import Fraction
 
-        nodes, V = approx._lobatto_vandermonde(N)
-        assert isinstance(nodes, tuple) and isinstance(V, tuple)
-        assert all(isinstance(row, tuple) for row in V)
-        for x, row in zip(nodes, V):
-            want = []
+        from fracemden.linalg import solve_fractions
+
+        nodes = [0.5] if N == 0 else [(math.cos(i * math.pi / N) + 1.0) / 2.0
+                                      for i in range(N + 1)]
+        V = []
+        for x in nodes:
+            row = []
             for n in range(N + 1):
                 acc = Fraction(0)
                 for c in reversed(boubaker_polynomial(n).coeffs):
                     acc = acc * Fraction(x) + Fraction(c)
-                want.append(acc)
-            assert list(row) == want
+                row.append(acc)
+            V.append(row)
+        rng = np.random.default_rng(34 + N)
+        for _ in range(20):
+            vals = (rng.choice([-1.0, 1.0], N + 1) * 10.0 ** rng.uniform(-8, 11, N + 1)).tolist()
+            want = np.array([float(v) for v in solve_fractions(V, [Fraction(v) for v in vals])])
+            assert approx._interpolate_exact(nodes, vals).tobytes() == want.tobytes()
 
     @staticmethod
     def _project_legendre_per_row(f, basis, singular_at_zero):

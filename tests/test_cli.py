@@ -12,7 +12,7 @@ import pytest
 import fracemden
 from fracemden import approx, fraccalc
 from fracemden.cli import main, poly_str
-from fracemden.polybasis import boubaker_polynomial, build_basis, build_M_int, eval_basis
+from fracemden.polybasis import build_basis, build_M_int, eval_basis
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
 SRC_DIR = os.path.dirname(os.path.dirname(fracemden.__file__))
@@ -42,7 +42,7 @@ class TestPolyStr:
         [(0, "1"), (1, "x"), (2, "x^2 + 2"), (3, "x^3 + x"), (4, "x^4 - 2")],
     )
     def test_rendering(self, n, text):
-        assert poly_str(boubaker_polynomial(n)) == text
+        assert poly_str(build_M_int(n)[n]) == text
 
 
 class TestBasisCommand:
@@ -280,7 +280,10 @@ class TestSolveCommand:
         ("b = 0.5", "b must be 0 when lambda > 0, got lambda = 2.0 and b = 0.5: "),
         ("alpha = 0.7\nlambda = 0\nb = 1",
          "b must be 0 when alpha < 1, got alpha = 0.7 and b = 1.0: "),
-    ], ids=["negative_max_iters", "deep_expression", "b_with_lambda", "b_with_alpha_below_one"])
+        ("N = 6.5", "value for 'N' is not an integer: '6.5'"),
+        ("max_iters = 2.5", "value for 'max_iters' is not an integer: '2.5'"),
+    ], ids=["negative_max_iters", "deep_expression", "b_with_lambda", "b_with_alpha_below_one",
+            "fractional_N", "fractional_max_iters"])
     def test_refused_input_exit2(self, tmp_path, capsys, line, cause):
         fields = {"alpha": "1", "lambda": "2", "s": '"1"', "g": '"u"', "h": '"0"',
                   "a": "1", "b": "0", "N": "3"}
@@ -360,6 +363,13 @@ class TestSolveCommand:
 
 
 class TestReproduceCommand:
+    def test_errors_at_rounding_level_agree(self):
+        # both below 1e-12: the ratio of two rounding errors means nothing
+        from fracemden.cli import _error_status
+
+        assert _error_status(1e-13, 1e-13) == "agree"
+        assert _error_status(1e-13, 1e-11) == "better"
+
     def test_table1(self, tmp_path):
         code, out = run("reproduce", "--target", "table1", "--out", str(tmp_path))
         assert code == 0

@@ -109,6 +109,16 @@ class TestParsing:
             parse("1 @ 2", X)
         assert err.value.offset == 2
 
+    @pytest.mark.parametrize("src,found,offset", [
+        ("1 +", "end of input", 3),
+        ("2 * )", ")", 4),
+    ], ids=["end_of_input", "closing_parenthesis"])
+    def test_missing_value(self, src, found, offset):
+        with pytest.raises(ParseError) as err:
+            parse(src, X)
+        assert str(err.value).startswith(f"expected a value, found '{found}'")
+        assert err.value.offset == offset
+
 
 class TestEvaluation:
     def test_exp(self):
@@ -176,6 +186,11 @@ class TestHandBuiltNodes:
                 run()
             assert str(err.value) == f"{message} in '{to_string(tree)}'"
             assert err.value.subexpr is tree
+
+    def test_non_node_refused(self):
+        for run in (lambda: to_string(42), lambda: compile_expression(42, "x")):
+            with pytest.raises(TypeError, match="^not an expression node: 42$"):
+                run()
 
 
 class TestDerivative:

@@ -170,6 +170,11 @@ class TestExactTables:
 
 
 class TestBasis:
+    @pytest.mark.parametrize("build", [build_basis, build_M_int])
+    def test_negative_degree_bound(self, build):
+        with pytest.raises(ValueError, match="^degree bound must be nonnegative, got -1$"):
+            build(-1)
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             build_basis(16)

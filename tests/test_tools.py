@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from fracemden import problems, solver
+from fracemden import approx, problems, solver
+from fracemden.polybasis import build_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = ROOT / "tools" / "digest.py"
@@ -29,7 +31,7 @@ def head(tmp_path_factory):
 def test_digest_holds_every_artifact_and_exit_status(head):
     files = {p.relative_to(head).as_posix() for p in head.rglob("*") if p.is_file()}
     probs = sorted(p.stem for p in (ROOT / "problems").glob("*.prob"))
-    want = {"lines.txt", "status.txt", "solves.txt", "reproduce.stdout",
+    want = {"lines.txt", "status.txt", "solves.txt", "projections.txt", "reproduce.stdout",
             "reproduce/table1.csv", "reproduce/fig3_data.csv", "opmatrix/alpha5e-324_n15.csv",
             "stdout/basis_n15.txt", "stdout/basis_n40_force.txt",
             "stdout/oracle_alpha0.7_n6.txt", "stdout/oracle_alpha1.0_n6.txt"}
@@ -61,6 +63,15 @@ def test_digest_prints_one_line_per_solve(head):
         hashlib.sha256(repr(problems.lane_emden(5, 0.7)).encode()).hexdigest(),
     ])
     assert want in lines
+
+
+def test_digest_hashes_each_projection(head):
+    lines = (head / "projections.txt").read_text().splitlines()
+    assert [line.partition(":")[0] for line in lines] == [
+        f"{label} N={N}" for label in ("in_span", "exp", "x^0.3", "x*inf") for N in range(16)]
+    C = approx.project(math.exp, build_basis(6))
+    assert f"exp N=6: {hashlib.sha256(C.tobytes()).hexdigest()}" in lines
+    assert "x*inf N=1: EvaluationError: non-finite sample f(1.0) = inf" in lines
 
 
 @pytest.mark.parametrize("args, fragment", [

@@ -5,9 +5,10 @@
 
 The first fills an empty OUT_DIR with lines.txt (wc -l of src/fracemden/*.py),
 the artifacts, stdout and exit status (status.txt) of each command below, run
-in a fresh interpreter with PYTHONPATH exactly SRC_ROOT/src, and solves.txt;
-it exits 1 if a command failed.  The second prints a Markdown summary of
-every difference but the line counts, and exits 1 if there is one.
+in a fresh interpreter with PYTHONPATH exactly SRC_ROOT/src, solves.txt and
+projections.txt; it exits 1 if a command failed.  The second prints a
+Markdown summary of every difference but the line counts, and exits 1 if
+there is one.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import difflib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from functools import partial
@@ -56,19 +58,24 @@ def commands():
         yield ["oracle-check", "--alpha", a, "--n", n], None, f"stdout/oracle_alpha{a}_n{n}.txt"
 
 
-def solve_lines(src):
+def import_package(src):
+    """Put src/src (and perfbench/, read only) first on sys.path; exit unless
+    fracemden then comes from there."""
+    sys.path[:0] = [str(src / "src"), str(ROOT / "perfbench")]
+    import fracemden
+    if not Path(fracemden.__file__).resolve().is_relative_to((src / "src").resolve()):
+        sys.exit(f"error: fracemden was imported from {fracemden.__file__}, not {src / 'src'}")
+
+
+def solve_lines():
     """2,096 solves: the nonlinear family and every 10th alpha-sweep pool alpha
     of perfbench/, lane_emden n = 1, 5 at alpha = 0.51..1.00 and N = 2..15,
     START_ACCEPTED, B_CONTRACT and LINE_SEARCH_STOPS.  A line holds the sha256
     of C, the iterations, residual_inf, the sha256 of repr(error_table) and
     of J (or "none"), or the error raised, a refused problem's ValueError
     included; a built-in's line adds the sha256 of repr(problem)."""
-    sys.path[:0] = [str(src / "src"), str(ROOT / "perfbench")]
-    import fracemden
     from fracemden import expr, problems, solver
-    from workloads import AlphaSweep, NonlinearFamily  # read only
-    if not Path(fracemden.__file__).resolve().is_relative_to((src / "src").resolve()):
-        sys.exit(f"error: fracemden was imported from {fracemden.__file__}, not {src / 'src'}")
+    from workloads import AlphaSweep, NonlinearFamily
 
     def line(label, make, N, built_in=False):
         try:
@@ -100,6 +107,34 @@ def solve_lines(src):
                    partial(solver.problem_from_strings, *args), N)
 
 
+def projection_lines():
+    """sha256 of approx.project(f, build_basis(N)), or the error raised, for
+    N = 0..15 and four f: a series in the span with random.Random(N)
+    coefficients (the exact route), exp (the Legendre route), x^0.3 flagged
+    singular at 0, and a non-finite sample."""
+    from fracemden import approx
+    from fracemden.polybasis import build_basis, eval_series
+
+    def in_span(N):
+        basis = build_basis(N)
+        rng = random.Random(N)
+        C = [rng.uniform(-1.0, 1.0) for _ in range(N + 1)]
+        return lambda x: eval_series(C, x, basis)
+
+    inputs = [("in_span", in_span, False), ("exp", lambda N: math.exp, False),
+              ("x^0.3", lambda N: lambda x: x ** 0.3, True),
+              ("x*inf", lambda N: lambda x: x * math.inf, False)]
+    for label, make, singular in inputs:
+        for N in range(16):
+            try:
+                C = approx.project(make(N), build_basis(N), singular_at_zero=singular)
+            except (approx.EvaluationError, ArithmeticError, ValueError) as err:
+                text = f"{type(err).__name__}: {err}"
+            else:
+                text = sha256(C.tobytes()).hexdigest()
+            yield f"{label} N={N}: {text}"
+
+
 def digest(src, out):
     """Write the digest of src to out; False if a command exited non-zero."""
     for d in "opmatrix", "stdout":
@@ -114,7 +149,9 @@ def digest(src, out):
                                   stdout=fh, env=env, cwd=ROOT)
         status.append(f"{proc.returncode} {' '.join(argv)}\n")
     (out / "status.txt").write_text("".join(status))
-    (out / "solves.txt").write_text("".join(s + "\n" for s in solve_lines(src)), encoding="utf-8")
+    import_package(src)
+    for name, lines in ("solves.txt", solve_lines()), ("projections.txt", projection_lines()):
+        (out / name).write_text("".join(s + "\n" for s in lines), encoding="utf-8")
     return all(s.startswith("0 ") for s in status)
 
 
@@ -147,7 +184,8 @@ def compare(base, head):
               for d in (base, head))
     changed = [n for n in sorted(fb & fh) if (base / n).read_bytes() != (head / n).read_bytes()]
     if not changed and fb == fh:
-        print("Every artifact, stdout, exit status and library solve: byte-identical to the base.")
+        print("Every artifact, stdout, exit status, library solve and projection: "
+              "byte-identical to the base.")
         return 0
     print("Files that differ from the base commit:\n```")
     for n in sorted(fb ^ fh | set(changed)):
