@@ -333,7 +333,7 @@ def cmd_oracle_check(args, out) -> int:
     ca = math.ceil(alpha)
     ok = True
 
-    zero_dev = float(np.max(np.abs(D[:ca]))) if ca > 0 else 0.0
+    zero_dev = float(np.max(np.abs(D[:ca])))
     line = "PASS" if zero_dev == 0.0 else "FAIL"
     ok &= zero_dev == 0.0
     print(f"[{line}] rows below ceil(alpha) exactly zero (max |entry| = {zero_dev:g})",

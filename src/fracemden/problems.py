@@ -149,33 +149,26 @@ def parse_problem_file(path) -> ProblemSpec:
 # -- built-in benchmark problems --------------------------------------------
 #
 # All four have known closed-form solutions, which makes them the
-# reproduction and regression suite.  s, h and exact are templates over
-# the placeholders A1, A2, A3, which stand for the floats alpha, 2 alpha and
-# 3 alpha; g holds none.  Each expression is parsed and compiled once per
-# process, g with its derivative; binding a template builds and compiles
-# only the nodes above a placeholder, with each placeholder a Num, and
-# shares every other subtree and its compiled form, so a built-in problem
-# comes with its compiled s, h, g, g' and exact.  The trees equal those of
-# parsing the expression with the three values written in as reprs, the
-# closures those of compiling such trees, and a nan or infinite alpha,
-# whose repr would not parse, reaches the problem's range check.
+# reproduction and regression suite.  Each expression is parsed and compiled
+# once per process as a template over its variable and the placeholders A1,
+# A2, A3, which stand for the floats alpha, 2 alpha and 3 alpha; g holds
+# none, so only its derivative is compiled per problem.  Binding a template
+# builds and compiles only the nodes above a placeholder, with each
+# placeholder a Num, and shares every other subtree and its compiled form,
+# so a built-in comes with its compiled s, h, g, g' and exact.  The trees
+# equal those of parsing the expression with the three values written in as
+# reprs, the closures those of compiling such trees, and a nan or infinite
+# alpha, whose repr would not parse, reaches the problem's range check.
 
 _SLOTS = ("A1", "A2", "A3")
 
 
 @lru_cache(maxsize=64)
-def _template(src: str):
-    """src parsed over x and the placeholders and compiled, as a function
+def _template(src: str, var: str = "x"):
+    """src parsed over var and the placeholders and compiled, as a function
     of the tuple of placeholder values that returns the bound tree and its
     closure (expr.compile_template)."""
-    return expr.compile_template(expr.parse(src, {"x", *_SLOTS}), "x", _SLOTS)
-
-
-@lru_cache(maxsize=64)
-def _nonlinearity(src: str):
-    """g parsed over u, with its closure and the closure of its derivative."""
-    g = expr.parse(src, {"u"})
-    return g, expr.compile_expression(g, "u"), expr.compile_with_derivative(g, "u")
+    return expr.compile_template(expr.parse(src, {var, *_SLOTS}), var, _SLOTS)
 
 
 def _builtin(alpha: float, lam: float, s: str, g: str, h: str, a: float,
@@ -185,13 +178,14 @@ def _builtin(alpha: float, lam: float, s: str, g: str, h: str, a: float,
     raises ValueError."""
     values = (float(alpha), float(2 * alpha), float(3 * alpha))
     s, s_f = _template(s)(values)
-    g, g_f, g_dual = _nonlinearity(g)
+    g, g_f = _template(g, "u")(values)
     h, h_f = _template(h)(values)
     exact, exact_f = (None, None) if exact is None else _template(exact)(values)
     problem = EmdenFowlerProblem(alpha=values[0], lam=lam, s=s, g=g, h=h, a=a, b=0.0,
                                  exact=exact)
     # where the cached property keeps its value, so nothing compiles again
-    vars(problem)["compiled"] = _Compiled(s_f, h_f, g_f, g_dual, exact_f)
+    vars(problem)["compiled"] = _Compiled(s_f, h_f, g_f, expr.compile_with_derivative(g, "u"),
+                                          exact_f)
     return problem
 
 

@@ -26,11 +26,11 @@ expression trees.
 
 What does not depend on the problem is one read-only operator record per
 (alpha, N, lambda): the points, Phi, A = [Phi D_2alpha^T +
-diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)] (at lambda = 0
-without the damping term, which would add only zeros) and the largest
-row sum R of |A|.  One builder makes it from N, alpha, lambda and the two
-Caputo matrices, on a grid cached per N; solve caches it per key, with
-both matrices from one exact pass (fraccalc.build_D_pair), and
+diag(lambda / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)] (formed so at
+every lambda; at lambda = 0 the damping term adds only zeros) and the
+largest row sum R of |A|.  One builder makes it from N, alpha, lambda and
+the two Caputo matrices, on a grid cached per N; solve caches it per key,
+with both matrices from one exact pass (fraccalc.build_D_pair), and
 assemble_residual builds it, uncached, from the matrices it is given.  A
 solve then evaluates s, h and max|rhs| once, and u = Phi C once per
 Newton iterate for both r and J.
@@ -229,8 +229,8 @@ def problem_from_strings(alpha, lam, s, g, h, a, b, exact=None) -> EmdenFowlerPr
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Solution coefficients plus diagnostics of one collocation solve.
-    cond_J, warnings and error_table are computed on first read; problem is
-    the problem solve solved, None in a report built by hand.  Reports
+    cond_J, warnings and error_table are computed on first read; problem
+    is the problem solved, which solve passes (None by default).  Reports
     compare and hash by identity: fieldwise == would compare the C and J
     arrays, which numpy cannot reduce to one truth value."""
 
@@ -239,7 +239,7 @@ class SolveReport:
     newton_iters: int
     residual_inf: float
     J: np.ndarray | None  # the last Jacobian Newton factorized; None if no step
-    problem: EmdenFowlerProblem | None = field(default=None, init=False, repr=False)
+    problem: EmdenFowlerProblem | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.C.setflags(write=False)
@@ -353,9 +353,7 @@ def _operator(N: int, alpha: float, lam: float,
     A = [Phi D_2alpha^T + diag(lam / x^alpha) Phi D_alpha^T; B(0); D_alpha B(0)]
     and the largest row sum of |A|."""
     _, pts, Phi, B0 = _grid(N)
-    collocation = Phi @ D_2alpha.T
-    if lam:  # at lam = 0 the damping term would add only zeros
-        collocation += (lam / np.array(pts) ** alpha)[:, None] * (Phi @ D_alpha.T)
+    collocation = Phi @ D_2alpha.T + (lam / np.array(pts) ** alpha)[:, None] * (Phi @ D_alpha.T)
     A = np.vstack([collocation, B0, D_alpha @ B0])
     A.setflags(write=False)
     return _Operator(pts, Phi, A, float(np.abs(A).sum(axis=1).max()))
@@ -570,9 +568,8 @@ def solve(
         C, r, sg, u, rnorm = Cn, rn, sgn, un, rn_norm
         iters += 1
 
-    report = SolveReport(C=C, points=op.pts, newton_iters=iters, residual_inf=rnorm, J=J)
-    object.__setattr__(report, "problem", problem)
-    return report
+    return SolveReport(C=C, points=op.pts, newton_iters=iters, residual_inf=rnorm, J=J,
+                       problem=problem)
 
 
 def residual_certificate(

@@ -244,10 +244,9 @@ class TestTemplates:
 
     def test_each_template_compiled_once(self, monkeypatch):
         # a built-in comes with its compiled forms: 100 alphas compile each
-        # template in x once, and each g once with its derivative; solving
-        # compiles nothing
+        # template, g's value included, once; g's derivative is compiled
+        # once per built-in; solving compiles nothing
         problems._template.cache_clear()
-        problems._nonlinearity.cache_clear()
         compiled = []
         def counting(route, compile_):
             def counted(e, name, *slots):
@@ -261,10 +260,12 @@ class TestTemplates:
         counts = Counter(compiled)
         for problem in built:
             solver.solve(problem, 6).error_table
-        assert Counter(compiled) == counts and max(counts.values()) == 1
-        assert {(route, name) for route, _, name in counts} == {
-            ("compile_template", "x"), ("compile_expression", "u"), ("compile_with_derivative", "u")}
-        assert len(counts) == 10 + 2 * 2  # s, h and exact templates; g = u and u^5
+        assert Counter(compiled) == counts
+        templates = {key: n for key, n in counts.items() if key[0] == "compile_template"}
+        assert set(templates.values()) == {1}
+        assert Counter(name for _, _, name in templates) == {"x": 10, "u": 2}  # s, h, exact; g
+        assert {key: n for key, n in counts.items() if key not in templates} == {
+            ("compile_with_derivative", "u", "u"): 300, ("compile_with_derivative", "u^5", "u"): 100}
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("build", [mixed_power, shifted_power, lambda a: lane_emden(1, a)],

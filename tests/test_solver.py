@@ -207,6 +207,19 @@ class TestSolve:
             assert report.rows(xs) == [(x, eval_series(report.C, x, basis), None, None)
                                        for x in xs]
 
+    def test_hand_built_report_with_a_problem_reads_its_exact(self):
+        # B_0 + B_2 = 3 + x^2, the exact solution of shifted_power(1)
+        problem = shifted_power(1.0)
+        report = solver.SolveReport(C=np.array([1.0, 0.0, 1.0]), points=(), newton_iters=0,
+                                    residual_inf=0.0, J=None, problem=problem)
+        assert report.problem is problem and "problem" not in repr(report)
+        want = []
+        for x in solver._TABLE_XS:
+            u, ex = eval_series(report.C, x, build_basis(2)), expr.evaluate(problem.exact, {"x": x})
+            want.append((x, u, ex, abs(u - ex)))
+        assert report.error_table == tuple(want)
+        assert max(err for *_, err in want) <= 1e-15
+
     def test_exact_undefined_everywhere_gives_bare_rows(self):
         problem = solver.problem_from_strings(1.0, 0.0, "1", "u", "0", 1.0, 1.0,
                                               exact="ln(x - 2)")
@@ -805,11 +818,12 @@ class TestSolveReport:
         calls, rows = [], solver.SolveReport.rows
         monkeypatch.setattr(solver.SolveReport, "rows",
                             lambda report, xs: calls.append(xs) or rows(report, xs))
-        report = solve(mixed_power(0.7), 10)
+        problem = mixed_power(0.7)
+        report = solve(problem, 10)
         assert calls == []
         table = report.error_table
         assert len(calls) == 1 and report.error_table is table and len(table) == 10
-        assert report.problem == mixed_power(0.7)
+        assert report.problem is problem
 
     def test_reports_compare_and_hash_by_identity(self):
         a, b = solve(lane_emden(5), 6), solve(lane_emden(5), 6)
