@@ -2,7 +2,9 @@
 
 A problem file is UTF-8 text (LF or CRLF) of ``key = value`` lines.  ``#``
 starts a comment anywhere outside a quoted string.  Expression values are
-double-quoted; numeric values are bare.  Keys:
+double-quoted; numeric values are bare or quoted.  Keys, in the order their
+values are read, all before any range is checked, so of several bad values
+the first is refused:
 
     alpha     real in (1/2, 1]          required
     lambda    real >= 0                 required
@@ -27,9 +29,10 @@ from functools import lru_cache
 from . import expr
 from .solver import EmdenFowlerProblem, _Compiled
 
-REQUIRED_KEYS = ("alpha", "lambda", "s", "g", "h", "a", "b", "N")
-OPTIONAL_KEYS = ("exact", "tol", "max_iters")
-_EXPR_KEYS = {"s", "g", "h", "exact"}
+# each key, in the order read, as "real", "integer" or its expression's variable
+_KINDS = {"alpha": "real", "lambda": "real", "s": "x", "g": "u", "h": "x", "a": "real",
+          "b": "real", "N": "integer", "exact": "x", "tol": "real", "max_iters": "integer"}
+REQUIRED_KEYS = tuple(_KINDS)[:8]
 
 
 class ProblemFileError(Exception):
@@ -63,9 +66,27 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+def _value(key: str, text: str):
+    """key's value read from its text, bare or double-quoted, as the kind
+    _KINDS gives it: a number, an integer, or a quoted expression."""
+    kind, quoted = _KINDS[key], text.startswith('"')
+    text = text[1:-1] if quoted else text
+    if kind in ("real", "integer"):
+        try:
+            return float(text) if kind == "real" else int(text)
+        except ValueError:
+            noun = "a number" if kind == "real" else "an integer"
+            raise ProblemFileError(f"value for {key!r} is not {noun}: {text!r}") from None
+    if not quoted:
+        raise ProblemFileError(f"value for {key!r} must be a quoted expression")
+    try:
+        return expr.parse(text, {kind})
+    except expr.ParseError as err:
+        raise ProblemFileError(f"bad expression for {key!r}: {err}") from None
+
+
 def parse_problem_text(text: str) -> ProblemSpec:
     values: dict[str, str] = {}
-    is_quoted: dict[str, bool] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -75,65 +96,26 @@ def parse_problem_text(text: str) -> ProblemSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in REQUIRED_KEYS and key not in OPTIONAL_KEYS:
+        if key not in _KINDS:
             raise ProblemFileError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ProblemFileError(f"duplicate key {key!r}", lineno)
-        if value.startswith('"'):
-            if not (len(value) >= 2 and value.endswith('"')):
-                raise ProblemFileError(f"unterminated quote in value for {key!r}", lineno)
-            values[key] = value[1:-1]
-            is_quoted[key] = True
-        else:
-            values[key] = value
-            is_quoted[key] = False
+        if value.startswith('"') and not (len(value) >= 2 and value.endswith('"')):
+            raise ProblemFileError(f"unterminated quote in value for {key!r}", lineno)
+        values[key] = value
 
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
         raise ProblemFileError(f"missing required key(s): {', '.join(missing)}")
 
-    for key in _EXPR_KEYS:
-        if key in values and not is_quoted[key]:
-            raise ProblemFileError(f"value for {key!r} must be a quoted expression")
-
-    def real(key: str) -> float:
-        try:
-            return float(values[key])
-        except ValueError:
-            raise ProblemFileError(f"value for {key!r} is not a number: {values[key]!r}") from None
-
-    def integer(key: str) -> int:
-        try:
-            return int(values[key])
-        except ValueError:
-            raise ProblemFileError(f"value for {key!r} is not an integer: {values[key]!r}") from None
-
-    def expression(key: str, var: str):
-        try:
-            return expr.parse(values[key], {var})
-        except expr.ParseError as err:
-            raise ProblemFileError(f"bad expression for {key!r}: {err}") from None
-
+    got = {key: _value(key, values[key]) for key in _KINDS if key in values}
     try:
-        problem = EmdenFowlerProblem(
-            alpha=real("alpha"),
-            lam=real("lambda"),
-            s=expression("s", "x"),
-            g=expression("g", "u"),
-            h=expression("h", "x"),
-            a=real("a"),
-            b=real("b"),
-            exact=expression("exact", "x") if "exact" in values else None,
-        )
+        problem = EmdenFowlerProblem(alpha=got["alpha"], lam=got["lambda"], s=got["s"],
+                                     g=got["g"], h=got["h"], a=got["a"], b=got["b"],
+                                     exact=got.get("exact"))
     except ValueError as err:
         raise ProblemFileError(str(err)) from None
-
-    return ProblemSpec(
-        problem=problem,
-        N=integer("N"),
-        tol=real("tol") if "tol" in values else None,
-        max_iters=integer("max_iters") if "max_iters" in values else None,
-    )
+    return ProblemSpec(problem, got["N"], got.get("tol"), got.get("max_iters"))
 
 
 def parse_problem_file(path) -> ProblemSpec:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import fracemden
 from fracemden import expr, problems, solver
 from fracemden.problems import (
     ProblemFileError,
@@ -99,6 +103,31 @@ class TestParsing:
         # '#' inside a quoted expression is not a comment
         text = GOOD.replace('s      = "1"', 's = "1" # real comment')
         assert parse_problem_text(text).problem is not None
+
+    def test_first_faulty_key_in_table_order_under_every_hash_seed(self):
+        # s and g both unquoted: s comes first in the key table, whatever
+        # order a set of the keys would iterate in under the seed
+        text = GOOD.replace('s      = "1"', "s = 1").replace('g      = "u"', "g = u")
+        script = ("import sys\nfrom fracemden.problems import parse_problem_text\n"
+                  "try:\n    parse_problem_text(sys.stdin.read())\n"
+                  "except Exception as err:\n    print(err)\n")
+        src = os.path.dirname(os.path.dirname(fracemden.__file__))
+        for seed in "0123":
+            proc = subprocess.run([sys.executable, "-c", script], input=text,
+                                  capture_output=True, text=True, check=True,
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+            assert proc.stdout == "value for 's' must be a quoted expression\n", seed
+
+    def test_bad_number_refused_before_an_unquoted_expression(self):
+        text = GOOD.replace("alpha  = 1", "alpha = one").replace('g      = "u"', "g = u")
+        with pytest.raises(ProblemFileError, match="value for 'alpha' is not a number: 'one'"):
+            parse_problem_text(text)
+
+    def test_quoted_numbers_accepted(self):
+        spec = parse_problem_text(GOOD.replace("alpha  = 1", 'alpha = "1"')
+                                  .replace("N      = 3", 'N = "3"'))
+        assert spec.problem.alpha == 1.0 and type(spec.problem.alpha) is float
+        assert spec.N == 3 and type(spec.N) is int
 
 
 class TestProblemFile:
